@@ -91,8 +91,8 @@ int main() {
               : workload::run_sharded(base_config(shards, cross));
       if (cross == 0.0) tput_at_zero_cross[ki] = r.throughput_gbps;
       incomplete = incomplete || !r.completed;
-      const std::string label =
-          "k" + std::to_string(shards) + "_x" + pct(cross);
+      std::string label = "k";
+      label += std::to_string(shards) + "_x" + pct(cross);
       t.row({Table::integer(shards), pct(cross), gbps(r.throughput_gbps),
              Table::num(static_cast<double>(
                             r.cross_latency_ns.median()) / 1e3, 1),

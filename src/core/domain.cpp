@@ -378,8 +378,10 @@ void OrderingDomain::on_shard_delivery(MergeState& m, std::size_t shard,
       e.sent_at = d.sent_at;
     }
     ++e.arrived;
-    m.queues[shard].push_back(
-        MergeState::Queued{.marker = true, .gsn = h.gsn});
+    MergeState::Queued marker;
+    marker.marker = true;
+    marker.gsn = h.gsn;
+    m.queues[shard].push_back(std::move(marker));
     progress(m);
     return;
   }

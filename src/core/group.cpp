@@ -65,6 +65,7 @@ Cluster::Cluster(ClusterConfig cfg)
                                   cfg.seed ^ 0xfab51cULL);
     parallel_->set_merge_hook(
         [this](std::size_t p) { fabric_->merge_arrivals(p); });
+    parallel_->set_barrier_hook([this] { fabric_->sample_payload_peak(); });
   }
   for (std::size_t i = 0; i < cfg.nodes; ++i) {
     members_.push_back(static_cast<net::NodeId>(i));
@@ -333,6 +334,13 @@ void Cluster::start() {
       stats.nodes.push_back(std::move(ns));
     });
   }
+
+  // Fabric-wide payload staging (shared by every epoch on one fabric).
+  registry_.add_collector([this](metrics::ClusterStats& stats) {
+    const net::Fabric::PayloadStats p = fabric_->payload_stats();
+    stats.net = metrics::NetHostStats{p.snapshots, p.bytes_copied,
+                                      p.peak_live, p.peak_live_bytes};
+  });
 
   for (net::NodeId id : members_) nodes_[id]->start();
 }

@@ -79,6 +79,18 @@ struct RelayTierStats {
   std::size_t peak_downlink_queue = 0;    // staged frames, relay -> gateway
 };
 
+/// Host-side cost of the simulated fabric's payload staging
+/// (net::Fabric::PayloadStats): each posted write is snapshotted once,
+/// however many targets it fans out to, into a pooled buffer that lives
+/// until its last target lands or drops it. These count the simulator's
+/// own memory traffic, not the modeled NIC's (that is rdma_bytes_posted).
+struct NetHostStats {
+  std::uint64_t payload_snapshots = 0;     // fan-out posts that staged bytes
+  std::uint64_t payload_bytes_copied = 0;  // bytes copied into snapshots
+  std::uint64_t peak_live_payloads = 0;    // most snapshots held at once
+  std::uint64_t peak_live_payload_bytes = 0;
+};
+
 /// A merged, point-in-time view of a whole cluster — the result of
 /// Cluster::stats(). `total` aggregates every node; `nodes` and `subgroups`
 /// provide the drill-downs.
@@ -87,6 +99,7 @@ struct ClusterStats {
   std::vector<NodeStats> nodes;
   std::vector<SubgroupStats> subgroups;  // merged over nodes, by subgroup id
   std::vector<RelayTierStats> relays;    // front-tier muxes, creation order
+  NetHostStats net;                      // fabric-wide payload staging
 
   const NodeStats* node(std::uint32_t id) const;
   const SubgroupStats* subgroup(std::uint32_t id) const;

@@ -43,7 +43,8 @@ void Fabric::configure_partitions(std::vector<sim::Engine*> engine_of_node,
   merge_scratch_.assign(n_parts_, {});
   jitter_seq_.assign(n_ * n_, 0);
   jitter_seed_ = jitter_seed;
-  pools_.resize(n_parts_);
+  // Built in place: a pool holds atomics, so it is never moved.
+  pools_ = std::vector<PayloadPool>(n_parts_);
   // Rebind each doorbell to its node's worker engine, so a delivery
   // signalling it schedules the wake-up on the owning wheel.
   for (std::size_t i = 0; i < n_; ++i) {
@@ -69,16 +70,7 @@ NodeId Fabric::region_node(RegionId id) const {
   return regions_[id.index].node;
 }
 
-sim::Nanos Fabric::post_write(NodeId src_node, RegionId dst,
-                              std::size_t dst_offset,
-                              std::span<const std::byte> src) {
-  assert(dst.index < regions_.size());
-  Region& region = regions_[dst.index];
-  assert(dst_offset + src.size() <= region.mem.size() &&
-         "RDMA write out of registered region bounds");
-  const NodeId dst_node = region.node;
-  const sim::Nanos now = node_engine(src_node).now();
-
+sim::Nanos Fabric::charge_post(NodeId src_node, sim::Nanos now) {
   // Burst detection: a post at the same instant as the previous one, or
   // starting exactly where the previous post's CPU cost ended, continues a
   // doorbell-batched burst.
@@ -88,41 +80,64 @@ sim::Nanos Fabric::post_write(NodeId src_node, RegionId dst,
       in_burst ? timing_.post_cpu_next : timing_.post_cpu_first;
   last_post_time_[src_node] = now;
   burst_end_[src_node] = now + cost;
-
-  auto& st = stats_[src_node];
-  ++st.writes_posted;
-  st.bytes_posted += src.size();
-  st.post_cpu += cost;
-
-  if (isolated_[src_node] || isolated_[dst_node]) {
-    return cost;  // traffic silently dropped
-  }
-
-  if (src_node == dst_node) {
-    // Loopback: the NIC still performs the DMA, but we deliver immediately
-    // with no wire latency (Derecho writes to its own row locally and never
-    // posts self-writes; this path exists for completeness).
-    std::memcpy(region.mem.data() + dst_offset, src.data(), src.size());
-    ++st.writes_delivered;
-    return cost;
-  }
-
-  // Snapshot the payload now (DMA reads source memory at transmission; the
-  // SST push discipline guarantees the source is not mutated in a way that
-  // violates monotonicity, but we snapshot for strict post-time semantics).
-  // Buffers are pooled, so this is a memcpy, not an allocation.
-  std::vector<std::byte>* payload = acquire_payload(part_of(src_node), src);
-
-  if (egress_paused_[src_node]) {
-    // NIC stall (fault injection): the verb is posted and the CPU cost is
-    // paid, but the send queue backs up until resume_egress().
-    egress_queue_[src_node].push_back(QueuedWrite{dst, dst_offset, payload});
-    return cost;
-  }
-
-  // The verb reaches the NIC when the CPU finishes posting it.
-  transmit(src_node, dst, dst_offset, payload, now + cost);
+  stats_[src_node].post_cpu += cost;
   return cost;
+}
+
+sim::Nanos Fabric::post_write(NodeId src_node, std::span<const RegionId> dsts,
+                              std::size_t dst_offset,
+                              std::span<const std::byte> src) {
+  const sim::Nanos now = node_engine(src_node).now();
+  auto& st = stats_[src_node];
+  // Snapshot the payload once, on the first target that needs it (DMA reads
+  // source memory at transmission; the SST push discipline guarantees the
+  // source is not mutated in a way that violates monotonicity, but we
+  // snapshot for strict post-time semantics). Buffers are pooled, so this
+  // is a memcpy, not an allocation; every target shares it.
+  Payload* payload = nullptr;
+  sim::Nanos total = 0;
+  for (const RegionId dst : dsts) {
+    assert(dst.index < regions_.size());
+    Region& region = regions_[dst.index];
+    assert(dst_offset + src.size() <= region.mem.size() &&
+           "RDMA write out of registered region bounds");
+    const NodeId dst_node = region.node;
+
+    const sim::Nanos cost = charge_post(src_node, now);
+    total += cost;
+    ++st.writes_posted;
+    st.bytes_posted += src.size();
+
+    if (isolated_[src_node] || isolated_[dst_node]) {
+      continue;  // traffic silently dropped
+    }
+
+    if (src_node == dst_node) {
+      // Loopback: the NIC still performs the DMA, but we deliver immediately
+      // with no wire latency (Derecho writes to its own row locally and
+      // never posts self-writes; this path exists for completeness).
+      std::memcpy(region.mem.data() + dst_offset, src.data(), src.size());
+      ++st.writes_delivered;
+      continue;
+    }
+
+    if (payload == nullptr) payload = acquire_payload(part_of(src_node), src);
+    // No landing can run before this post returns (serial: same thread;
+    // parallel: staged until the barrier), so counting up as we go is safe.
+    payload->refs.fetch_add(1, std::memory_order_relaxed);
+
+    if (egress_paused_[src_node]) {
+      // NIC stall (fault injection): the verb is posted and the CPU cost is
+      // paid, but the send queue backs up until resume_egress().
+      egress_queue_[src_node].push_back(
+          QueuedWrite{dst, dst_offset, payload});
+      continue;
+    }
+
+    // The verb reaches the NIC when the CPU finishes posting it.
+    transmit(src_node, dst, dst_offset, payload, now + cost);
+  }
+  return total;
 }
 
 sim::Co<AtomicResult> Fabric::rdma_faa(NodeId src_node, RegionId dst,
@@ -155,15 +170,8 @@ sim::Co<AtomicResult> Fabric::atomic_rmw(NodeId src_node, RegionId dst,
 
   // Posting the atomic verb costs the same doorbell-batched CPU as a write;
   // unlike post_write the cost is slept here, inside the coroutine.
-  const bool in_burst =
-      (now == last_post_time_[src_node]) || (now == burst_end_[src_node]);
-  const sim::Nanos cost =
-      in_burst ? timing_.post_cpu_next : timing_.post_cpu_first;
-  last_post_time_[src_node] = now;
-  burst_end_[src_node] = now + cost;
-  auto& st = stats_[src_node];
-  ++st.atomics_posted;
-  st.post_cpu += cost;
+  const sim::Nanos cost = charge_post(src_node, now);
+  ++stats_[src_node].atomics_posted;
   co_await eng.sleep(cost);
 
   if (isolated_[src_node] || isolated_[dst_node]) {
@@ -249,17 +257,71 @@ sim::Co<AtomicResult> Fabric::atomic_rmw(NodeId src_node, RegionId dst,
   co_return res;
 }
 
-std::vector<std::byte>* Fabric::acquire_payload(
-    std::size_t stripe, std::span<const std::byte> src) {
+Fabric::Payload* Fabric::acquire_payload(std::size_t stripe,
+                                         std::span<const std::byte> src) {
   PayloadPool& pool = pools_[stripe];
   if (pool.free_list.empty()) {
     pool.store.emplace_back();
     pool.free_list.push_back(&pool.store.back());
   }
-  std::vector<std::byte>* p = pool.free_list.back();
+  Payload* p = pool.free_list.back();
   pool.free_list.pop_back();
-  p->assign(src.begin(), src.end());
+  p->bytes.assign(src.begin(), src.end());
+  ++pool.snapshots;
+  pool.bytes_copied += src.size();
+  ++pool.live;
+  pool.live_bytes += static_cast<std::int64_t>(src.size());
+  // Serial mode has one stripe, so its gauges are the fabric's; parallel
+  // mode samples the sum at window barriers (sample_payload_peak).
+  if (!parallel_) note_payload_peak(pool.live, pool.live_bytes);
   return p;
+}
+
+void Fabric::release_payload(std::size_t stripe, Payload* p) {
+  // acq_rel: every other holder's landing memcpy happens-before the reuse.
+  if (p->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  PayloadPool& pool = pools_[stripe];
+  --pool.live;
+  pool.live_bytes -= static_cast<std::int64_t>(p->bytes.size());
+  p->bytes.clear();
+  pool.free_list.push_back(p);
+}
+
+void Fabric::note_payload_peak(std::int64_t live, std::int64_t live_bytes) {
+  peak_live_payloads_ =
+      std::max(peak_live_payloads_, static_cast<std::uint64_t>(live));
+  peak_live_payload_bytes_ =
+      std::max(peak_live_payload_bytes_,
+               static_cast<std::uint64_t>(live_bytes));
+}
+
+void Fabric::sample_payload_peak() {
+  std::int64_t live = 0;
+  std::int64_t live_bytes = 0;
+  for (const PayloadPool& pool : pools_) {
+    live += pool.live;
+    live_bytes += pool.live_bytes;
+  }
+  note_payload_peak(live, live_bytes);
+}
+
+Fabric::PayloadStats Fabric::payload_stats() const {
+  PayloadStats out;
+  std::int64_t live = 0;
+  std::int64_t live_bytes = 0;
+  for (const PayloadPool& pool : pools_) {
+    out.snapshots += pool.snapshots;
+    out.bytes_copied += pool.bytes_copied;
+    out.pooled += pool.store.size();
+    out.idle += pool.free_list.size();
+    live += pool.live;
+    live_bytes += pool.live_bytes;
+  }
+  out.live = static_cast<std::uint64_t>(live);
+  out.live_bytes = static_cast<std::uint64_t>(live_bytes);
+  out.peak_live = std::max(peak_live_payloads_, out.live);
+  out.peak_live_bytes = std::max(peak_live_payload_bytes_, out.live_bytes);
+  return out;
 }
 
 sim::Nanos Fabric::jitter_draw(NodeId src, NodeId dst, sim::Nanos jitter) {
@@ -286,15 +348,16 @@ sim::Nanos Fabric::jitter_draw(NodeId src, NodeId dst, sim::Nanos jitter) {
 }
 
 void Fabric::transmit(NodeId src_node, RegionId dst, std::size_t dst_offset,
-                      std::vector<std::byte>* payload, sim::Nanos ready) {
+                      Payload* payload, sim::Nanos ready) {
   Region& region = regions_[dst.index];
   const NodeId dst_node = region.node;
-  const sim::Nanos occ = timing_.occupancy(payload->size());
+  const std::size_t size = payload->bytes.size();
+  const sim::Nanos occ = timing_.occupancy(size);
 
   // Link-fault shaping (fault injection): scaled latency plus jitter. The
   // per-QP FIFO clamp below keeps writes ordered regardless of the draw.
   const LinkFault& lf = link_faults_[src_node * n_ + dst_node];
-  sim::Nanos adder = timing_.latency_adder(payload->size());
+  sim::Nanos adder = timing_.latency_adder(size);
   if (lf.latency_mult != 1.0) {
     adder = static_cast<sim::Nanos>(static_cast<double>(adder) *
                                     lf.latency_mult);
@@ -367,8 +430,8 @@ void Fabric::transmit(NodeId src_node, RegionId dst, std::size_t dst_offset,
           return;
         }
         const Region& r = regions_[dst.index];
-        std::memcpy(r.mem.data() + dst_offset, payload->data(),
-                    payload->size());
+        std::memcpy(r.mem.data() + dst_offset, payload->bytes.data(),
+                    payload->bytes.size());
         ++stats_[dst_node].writes_delivered;
         release_payload(0, payload);
         doorbells_[dst_node]->signal();
@@ -427,8 +490,8 @@ void Fabric::deliver_arrival(const Arrival& a) {
       [this, dst = a.dst, dst_offset = a.dst_offset, dst_node = a.dst_node,
        payload = a.payload, dp] {
         const Region& r = regions_[dst.index];
-        std::memcpy(r.mem.data() + dst_offset, payload->data(),
-                    payload->size());
+        std::memcpy(r.mem.data() + dst_offset, payload->bytes.data(),
+                    payload->bytes.size());
         ++stats_[dst_node].writes_delivered;
         release_payload(dp, payload);
         doorbells_[dst_node]->signal();

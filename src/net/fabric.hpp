@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -54,8 +55,9 @@ struct AtomicResult {
 ///    to B become visible at B in that order, never interleaved;
 ///  * **cache-line atomicity** — a write's bytes appear at the destination
 ///    all at once (the simulator copies the whole payload in one event);
-///  * **zero-copy** — payload is snapshotted at post time (DMA semantics)
-///    and placed directly into the destination's registered memory.
+///  * **zero-copy** — payload is snapshotted at post time (DMA semantics),
+///    once per post however many targets it fans out to, and placed
+///    directly into each destination's registered memory.
 ///
 /// Failure injection: `isolate()` silently drops all traffic to and from a
 /// node, modeling a crash as seen by the network.
@@ -99,16 +101,33 @@ class Fabric {
   /// barrier where all workers are parked between lookahead windows.
   void merge_arrivals(std::size_t dst_part);
 
-  /// Post a one-sided write of `src` into (dst region, dst_offset).
+  /// Post one one-sided write of `src` into (dst region, dst_offset) for
+  /// every region in `dsts`, in order — the fan-out of a multicast push.
   ///
-  /// Returns the CPU cost of posting the verb, charged to the calling
-  /// simulated thread: the caller must `co_await engine.sleep(cost)`
+  /// Each target is its own verb on its own QP: it pays its own post CPU
+  /// and takes its own trip through the wire model. The payload, however,
+  /// is snapshotted once (DMA semantics: later changes to `src` never
+  /// land) into a pooled, reference-counted buffer that every target
+  /// shares, the way a NIC DMA-reads the source once per QP without a
+  /// per-target host copy. The last landing or drop returns it to the pool.
+  ///
+  /// Returns the summed CPU cost of posting the verbs, charged to the
+  /// calling simulated thread: the caller must `co_await engine.sleep(cost)`
   /// immediately (or accumulate costs of a burst and sleep once).
   /// Consecutive posts at the same virtual timestamp, or back-to-back after
   /// sleeping the returned cost, form a burst and are charged the cheaper
-  /// `post_cpu_next`.
-  sim::Nanos post_write(NodeId src_node, RegionId dst, std::size_t dst_offset,
+  /// `post_cpu_next`; so all but (at most) the first target of a fan-out
+  /// are burst posts.
+  sim::Nanos post_write(NodeId src_node, std::span<const RegionId> dsts,
+                        std::size_t dst_offset,
                         std::span<const std::byte> src);
+
+  /// Single-target post: the one-element fan-out.
+  sim::Nanos post_write(NodeId src_node, RegionId dst, std::size_t dst_offset,
+                        std::span<const std::byte> src) {
+    return post_write(src_node, std::span<const RegionId>(&dst, 1),
+                      dst_offset, src);
+  }
 
   /// One-sided fetch-and-add on an aligned 8-byte word of a registered
   /// region: fetches the word, adds `add`, and returns the *old* value —
@@ -184,6 +203,33 @@ class Fabric {
   };
   const NicStats& stats(NodeId node) const { return stats_[node]; }
 
+  /// Host-side cost of payload staging (see post_write): snapshots taken
+  /// and the bytes copied into them, summed over every source; the
+  /// snapshots (and their payload bytes) held by in-flight or stalled
+  /// writes, now and at the peak; and the pool's buffers, of which `idle`
+  /// sit in free lists. Every buffer is live or idle, so at quiescence
+  /// live == 0 and idle == pooled. Snapshot counts are a pure function of
+  /// the run. The serial engine tracks the peak at every snapshot; the
+  /// parallel engine samples it at window barriers (sample_payload_peak),
+  /// so there it is a lower bound. Read it only while the engine is not
+  /// running.
+  struct PayloadStats {
+    std::uint64_t snapshots = 0;
+    std::uint64_t bytes_copied = 0;
+    std::uint64_t live = 0;
+    std::uint64_t live_bytes = 0;
+    std::uint64_t peak_live = 0;
+    std::uint64_t peak_live_bytes = 0;
+    std::uint64_t pooled = 0;
+    std::uint64_t idle = 0;
+  };
+  PayloadStats payload_stats() const;
+
+  /// Fold the current live snapshot totals into the peaks. Parallel mode
+  /// only, where each stripe keeps its own gauges: call it while every
+  /// worker is parked at a window barrier.
+  void sample_payload_peak();
+
  private:
   struct Region {
     NodeId node;
@@ -197,10 +243,18 @@ class Fabric {
     double latency_mult = 1.0;
     sim::Nanos jitter = 0;
   };
+  /// One post's payload snapshot, shared by all its targets. `refs` counts
+  /// the targets still holding it (in flight, staged or stalled); it is
+  /// atomic because in parallel mode the landings that drop it run on the
+  /// destinations' workers.
+  struct Payload {
+    std::vector<std::byte> bytes;
+    std::atomic<std::uint32_t> refs{0};
+  };
   struct QueuedWrite {
     RegionId dst;
     std::size_t dst_offset;
-    std::vector<std::byte>* payload;  // pool-owned
+    Payload* payload;  // pool-owned, one reference
   };
 
   /// One staged cross-worker delivery (parallel mode). Egress serialization
@@ -211,7 +265,7 @@ class Fabric {
   struct Arrival {
     RegionId dst;
     std::uint32_t dst_offset;
-    std::vector<std::byte>* payload;
+    Payload* payload;  // one reference
     /// Bulk: arrival at the receiver NIC (pre-ingress). Control: delivery
     /// time (pre-FIFO-clamp) — control QPs skip ingress serialization.
     sim::Nanos base;
@@ -233,26 +287,28 @@ class Fabric {
     std::uint64_t del_pu, del_s;
   };
 
-  /// In-flight payload snapshots are pooled: a delivery returns its buffer
-  /// for reuse, so steady-state traffic allocates nothing per write. The
-  /// pool owns every buffer (deque keeps addresses stable); an event that
-  /// never runs merely strands its buffer until the Fabric dies — no leak.
-  /// Pools are striped per partition (stripe 0 in serial mode); callers
-  /// always use the stripe of the worker thread they run on, so buffers
-  /// migrate src stripe -> dst stripe without any locking.
-  std::vector<std::byte>* acquire_payload(std::size_t stripe,
-                                          std::span<const std::byte> src);
-  void release_payload(std::size_t stripe, std::vector<std::byte>* p) {
-    p->clear();
-    pools_[stripe].free_list.push_back(p);
-  }
+  /// In-flight payload snapshots are pooled: the last target to land or
+  /// drop a snapshot returns it for reuse, so steady-state traffic
+  /// allocates nothing per write. The pool owns every buffer (deque keeps
+  /// addresses stable); an event that never runs merely strands its buffer
+  /// until the Fabric dies — no leak. Pools are striped per partition
+  /// (stripe 0 in serial mode); callers always use the stripe of the worker
+  /// thread they run on: a snapshot is taken from the poster's stripe and
+  /// goes back to the stripe of whichever destination worker dropped the
+  /// last reference, so buffers migrate between stripes without locking.
+  Payload* acquire_payload(std::size_t stripe, std::span<const std::byte> src);
+  void release_payload(std::size_t stripe, Payload* p);
+
+  /// CPU cost of posting one verb from `src_node` at `now` (doorbell-
+  /// batched: see post_write), recorded in its burst state and NicStats.
+  sim::Nanos charge_post(NodeId src_node, sim::Nanos now);
 
   /// Wire model shared by post_write and resume_egress: serialize at the
   /// sender's port from `ready`, apply link latency (plus any injected
   /// fault), clamp to per-QP FIFO, and schedule the landing. In parallel
   /// mode the destination half is staged instead (see Arrival).
   void transmit(NodeId src_node, RegionId dst, std::size_t dst_offset,
-                std::vector<std::byte>* payload, sim::Nanos ready);
+                Payload* payload, sim::Nanos ready);
   void deliver_arrival(const Arrival& a);
 
   /// Shared body of rdma_faa / rdma_cas. For FAA arg0 is the addend; for
@@ -297,11 +353,22 @@ class Fabric {
 
   // Payload snapshot pool stripes (see acquire_payload; one stripe in
   // serial mode, one per partition in parallel mode).
-  struct PayloadPool {
-    std::deque<std::vector<std::byte>> store;
-    std::vector<std::vector<std::byte>*> free_list;
+  // Each stripe's counters are written only by the worker that owns it.
+  // A snapshot can be taken on one stripe and returned on another, so a
+  // stripe's live gauges may go negative; their sum over stripes is exact.
+  // Aligned so that neighbouring stripes never share a cache line.
+  struct alignas(64) PayloadPool {
+    std::deque<Payload> store;
+    std::vector<Payload*> free_list;
+    std::uint64_t snapshots = 0;     // taken by posters on this stripe
+    std::uint64_t bytes_copied = 0;
+    std::int64_t live = 0;           // taken here minus returned here
+    std::int64_t live_bytes = 0;
   };
   std::vector<PayloadPool> pools_{1};
+  std::uint64_t peak_live_payloads_ = 0;
+  std::uint64_t peak_live_payload_bytes_ = 0;
+  void note_payload_peak(std::int64_t live, std::int64_t live_bytes);
 
   // Parallel-mode routing state (empty in serial mode). staged_[s * P + d]
   // is written only by partition s's worker during a window and drained

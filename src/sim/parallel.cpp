@@ -103,8 +103,10 @@ void ParallelEngine::worker_loop(std::size_t w, Mode mode,
     has_next_[w] = eng.peek_next(&next_at_[w]) ? 1 : 0;
     // Barrier 2: the last worker to arrive negotiates the next window (or
     // decides to stop) while the rest are parked.
-    barrier_.arrive_and_wait(
-        [&] { decide(mode, cond, max_virtual, horizon); });
+    barrier_.arrive_and_wait([&] {
+      if (barrier_hook_) barrier_hook_();
+      decide(mode, cond, max_virtual, horizon);
+    });
   }
 }
 

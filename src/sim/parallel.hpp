@@ -97,6 +97,14 @@ class ParallelEngine {
     merge_hook_ = std::move(hook);
   }
 
+  /// Install a hook the barrier leader runs once per window, after every
+  /// worker has merged and parked, before the next window is negotiated;
+  /// it may read state across partitions (the fabric samples its payload
+  /// gauges here).
+  void set_barrier_hook(std::function<void()> hook) {
+    barrier_hook_ = std::move(hook);
+  }
+
   /// Run until every wheel drains.
   void run();
 
@@ -137,6 +145,7 @@ class ParallelEngine {
   std::uint64_t root_seq_ = 0;
   const Nanos lookahead_;
   std::function<void(std::size_t)> merge_hook_;
+  std::function<void()> barrier_hook_;
   WindowBarrier barrier_;
 
   // Window-loop shared state. Written by the barrier leader inside the

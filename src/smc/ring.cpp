@@ -19,6 +19,7 @@ RingGroup::RingGroup(net::Fabric& fabric, net::NodeId self,
   arena_.assign(num_senders_ * row_size(), std::byte{0});
   my_region_ = fabric_.register_region(self_, std::span<std::byte>(arena_));
   peer_regions_.resize(members_.size());
+  fanout_.reserve(members_.size());
 }
 
 void RingGroup::connect(std::span<RingGroup* const> instances) {
@@ -74,6 +75,13 @@ sim::Nanos RingGroup::push_ranges(std::int64_t first, std::int64_t last,
     segs[n_segs++] = {0, total - (window_ - first_slot)};
   }
 
+  fanout_.clear();
+  for (std::size_t rank : targets) {
+    if (members_[rank] == self_) continue;
+    assert(peer_regions_[rank].valid() && "RingGroup not connected");
+    fanout_.push_back(peer_regions_[rank]);
+  }
+
   const std::size_t unit = trailers ? sizeof(SlotTrailer) : stride();
   sim::Nanos cost = 0;
   for (int i = 0; i < n_segs; ++i) {
@@ -81,11 +89,7 @@ sim::Nanos RingGroup::push_ranges(std::int64_t first, std::int64_t last,
                                 ? trailer_offset(my_sender_, segs[i].slot)
                                 : data_offset(my_sender_, segs[i].slot);
     std::span<const std::byte> src{arena_.data() + off, segs[i].count * unit};
-    for (std::size_t rank : targets) {
-      if (members_[rank] == self_) continue;
-      assert(peer_regions_[rank].valid() && "RingGroup not connected");
-      cost += fabric_.post_write(self_, peer_regions_[rank], off, src);
-    }
+    cost += fabric_.post_write(self_, fanout_, off, src);
   }
   return cost;
 }

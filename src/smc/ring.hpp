@@ -115,6 +115,8 @@ class RingGroup {
   std::vector<std::byte> arena_;  // num_senders rows
   net::RegionId my_region_;
   std::vector<net::RegionId> peer_regions_;  // member rank -> region
+  // Fan-out target list of one push, sized once so pushes never allocate.
+  std::vector<net::RegionId> fanout_;
 };
 
 }  // namespace spindle::smc

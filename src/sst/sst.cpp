@@ -32,6 +32,7 @@ Sst::Sst(net::Fabric& fabric, net::NodeId self,
   my_region_ = fabric_.register_region(self, std::span<std::byte>(table_),
                                        net::Channel::control);
   peer_regions_.resize(members_.size());
+  fanout_.reserve(members_.size());
 }
 
 void Sst::connect(std::span<Sst* const> instances) {
@@ -51,14 +52,13 @@ sim::Nanos Sst::push(FieldId first, FieldId last,
   const std::size_t row_off = my_rank_ * layout_.row_size() + begin;
   std::span<const std::byte> src{table_.data() + row_off, end - begin};
 
-  sim::Nanos cost = 0;
-  const net::NodeId self = members_[my_rank_];
+  fanout_.clear();
   for (std::size_t rank : targets) {
     if (rank == my_rank_) continue;
     assert(peer_regions_[rank].valid() && "Sst group not connected");
-    cost += fabric_.post_write(self, peer_regions_[rank], row_off, src);
+    fanout_.push_back(peer_regions_[rank]);
   }
-  return cost;
+  return fabric_.post_write(members_[my_rank_], fanout_, row_off, src);
 }
 
 sim::Nanos Sst::push_row(std::span<const std::size_t> targets) {

@@ -131,6 +131,8 @@ class Sst {
   std::vector<std::byte> table_;          // local copy: rows * row_size
   net::RegionId my_region_;               // our table, registered
   std::vector<net::RegionId> peer_regions_;  // rank -> peer's table region
+  // Fan-out target list of one push, sized once so pushes never allocate.
+  std::vector<net::RegionId> fanout_;
 };
 
 }  // namespace spindle::sst

@@ -45,6 +45,8 @@ struct SmallRun {
 
   DeliveryRecorder rec;
   bool completed = false;
+  metrics::ClusterStats stats;         // after shutdown's drain
+  net::Fabric::PayloadStats payloads;  // likewise
 
   void run() {
     ClusterConfig cc;
@@ -82,6 +84,8 @@ struct SmallRun {
         [&] { return cluster.total_delivered(sg) >= expect; },
         sim::seconds(30));
     cluster.shutdown();
+    stats = cluster.stats();
+    payloads = cluster.fabric().payload_stats();
   }
 };
 
@@ -179,6 +183,25 @@ TEST(Multicast, ExperimentHarnessCompletesSmallRun) {
   EXPECT_GT(res.throughput_gbps, 0.0);
   EXPECT_GT(res.stats.total.rdma_writes_posted, 0u);
   EXPECT_GT(res.median_latency_us, 0.0);
+}
+
+TEST(Multicast, FanOutStagesOneSnapshotPerPostAndDrains) {
+  // Every SMC and SST push of a 4-member subgroup fans out to the 3 peers
+  // from one staged snapshot, and stats() shows that host copy volume.
+  SmallRun r{4, 4, 100, ProtocolOptions::spindle()};
+  r.run();
+  ASSERT_TRUE(r.completed);
+  const metrics::NetHostStats& net = r.stats.net;
+  EXPECT_GT(net.payload_snapshots, 0u);
+  EXPECT_EQ(r.stats.total.rdma_writes_posted, 3 * net.payload_snapshots);
+  EXPECT_EQ(r.stats.total.rdma_bytes_posted, 3 * net.payload_bytes_copied);
+  EXPECT_GE(net.peak_live_payloads, 1u);
+  EXPECT_GT(net.peak_live_payload_bytes, 0u);
+  // Quiescence: every snapshot went back to the pool, exactly once.
+  EXPECT_EQ(r.payloads.live, 0u);
+  EXPECT_EQ(r.payloads.live_bytes, 0u);
+  EXPECT_EQ(r.payloads.idle, r.payloads.pooled);
+  EXPECT_EQ(r.payloads.pooled, net.peak_live_payloads);
 }
 
 TEST(Multicast, DeterministicForSameSeed) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -200,6 +201,171 @@ TEST_F(FabricFixture, SharedChannelAblationDisablesOvertaking) {
   });
   EXPECT_TRUE(bulk_first) << "without separate QPs the ack must queue";
   eng2.run();
+}
+
+// ---------------------------------------------------------------------------
+// Fan-out posts: one shared payload snapshot per post
+// ---------------------------------------------------------------------------
+
+struct FanOutFixture : FabricFixture {
+  std::vector<std::byte> mem_c = std::vector<std::byte>(4096);
+  std::vector<std::byte> mem_d = std::vector<std::byte>(4096);
+  std::vector<RegionId> targets;
+
+  void SetUp() override {
+    FabricFixture::SetUp();
+    targets = {region_b, fabric.register_region(2, mem_c),
+               fabric.register_region(3, mem_d)};
+  }
+
+  /// Every pooled buffer went back to a free list exactly once: a missed
+  /// release leaves a live snapshot, a double release an extra free entry.
+  void expect_pool_quiescent() {
+    const Fabric::PayloadStats p = fabric.payload_stats();
+    EXPECT_EQ(p.live, 0u);
+    EXPECT_EQ(p.live_bytes, 0u);
+    EXPECT_EQ(p.idle, p.pooled);
+  }
+};
+
+TEST_F(FanOutFixture, EveryTargetReceivesIdenticalBytes) {
+  auto payload = bytes({1, 2, 3, 4, 5});
+  const sim::Nanos cost = fabric.post_write(0, targets, 64, payload);
+  EXPECT_EQ(cost, timing.post_cpu_first + 2 * timing.post_cpu_next);
+  engine.run();
+  for (const auto* mem : {&mem_b, &mem_c, &mem_d}) {
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                           mem->begin() + 64));
+  }
+  EXPECT_EQ(fabric.stats(0).writes_posted, 3u);
+  EXPECT_EQ(fabric.stats(0).bytes_posted, 15u);
+  const Fabric::PayloadStats p = fabric.payload_stats();
+  EXPECT_EQ(p.snapshots, 1u);  // one copy, not one per target
+  EXPECT_EQ(p.bytes_copied, 5u);
+  EXPECT_EQ(p.peak_live, 1u);
+  EXPECT_EQ(p.peak_live_bytes, 5u);
+  EXPECT_EQ(p.pooled, 1u);
+  expect_pool_quiescent();
+}
+
+TEST_F(FanOutFixture, LandsWhenPerTargetPostsWould) {
+  // The fan-out is the per-target loop with the copy hoisted out: same
+  // burst costs, same transmit order, same landing times.
+  const auto landing_times = [&](Fabric& f, sim::Engine& e,
+                                 const std::vector<RegionId>& dsts,
+                                 bool fan_out) {
+    std::vector<sim::Nanos> at(4, -1);
+    for (NodeId n = 1; n <= 3; ++n) {
+      e.spawn([](sim::Engine& eng, Fabric& fab, NodeId node,
+                 sim::Nanos& out) -> sim::Co<> {
+        if (co_await fab.doorbell(node).wait_for(sim::millis(1))) {
+          out = eng.now();
+        }
+      }(e, f, n, at[n]));
+    }
+    std::vector<std::byte> big(3000, std::byte{7});
+    sim::Nanos cost = 0;
+    if (fan_out) {
+      cost = f.post_write(0, dsts, 0, big);
+    } else {
+      for (RegionId r : dsts) cost += f.post_write(0, r, 0, big);
+    }
+    e.run();
+    at[0] = cost;
+    return at;
+  };
+  sim::Engine eng2;
+  Fabric fab2(eng2, timing, 4);
+  std::vector<std::byte> m1(4096), m2(4096), m3(4096);
+  const std::vector<RegionId> singles = {fab2.register_region(1, m1),
+                                         fab2.register_region(2, m2),
+                                         fab2.register_region(3, m3)};
+  const std::vector<sim::Nanos> fanned =
+      landing_times(fabric, engine, targets, true);
+  for (NodeId n = 1; n <= 3; ++n) EXPECT_GT(fanned[n], fanned[0]);
+  EXPECT_EQ(fanned, landing_times(fab2, eng2, singles, false));
+  EXPECT_EQ(fabric.payload_stats().snapshots, 1u);
+  EXPECT_EQ(fab2.payload_stats().snapshots, 3u);
+}
+
+TEST_F(FanOutFixture, SnapshotTakenAtPostTime) {
+  auto src = bytes({1, 2, 3, 4});
+  fabric.post_write(0, targets, 0, src);
+  src.assign(src.size(), std::byte{0x55});  // mutated after the post
+  engine.run();
+  for (const auto* mem : {&mem_b, &mem_c, &mem_d}) {
+    EXPECT_EQ((*mem)[0], std::byte{1});
+    EXPECT_EQ((*mem)[3], std::byte{4});
+  }
+}
+
+TEST_F(FanOutFixture, ReleasedOnceWhenATargetIsIsolatedMidFlight) {
+  auto payload = bytes({9, 9});
+  fabric.post_write(0, targets, 0, payload);
+  fabric.isolate(2);  // one target dies with the write on the wire
+  engine.run();
+  EXPECT_EQ(mem_b[0], std::byte{9});
+  EXPECT_EQ(mem_c[0], std::byte{0});
+  EXPECT_EQ(mem_d[0], std::byte{9});
+  expect_pool_quiescent();
+  // The recycled buffer serves the next post: no second allocation.
+  fabric.post_write(0, targets, 8, payload);
+  engine.run();
+  EXPECT_EQ(fabric.payload_stats().pooled, 1u);
+  expect_pool_quiescent();
+}
+
+TEST_F(FanOutFixture, IsolatedTargetsAtPostTimeShareNoSnapshot) {
+  auto payload = bytes({3});
+  fabric.isolate(1);
+  fabric.isolate(2);
+  fabric.isolate(3);
+  EXPECT_EQ(fabric.post_write(0, targets, 0, payload),
+            timing.post_cpu_first + 2 * timing.post_cpu_next);
+  EXPECT_EQ(fabric.payload_stats().snapshots, 0u);  // nothing to stage
+  engine.run();
+  expect_pool_quiescent();
+}
+
+TEST_F(FanOutFixture, ReleasedOnceAfterEgressPauseAndResume) {
+  auto payload = bytes({6, 7});
+  fabric.pause_egress(0);
+  fabric.post_write(0, targets, 0, payload);
+  engine.run();
+  EXPECT_EQ(mem_b[0], std::byte{0});  // queued behind the stalled NIC
+  EXPECT_EQ(fabric.payload_stats().live, 1u);
+  fabric.resume_egress(0);
+  engine.run();
+  for (const auto* mem : {&mem_b, &mem_c, &mem_d}) {
+    EXPECT_EQ((*mem)[1], std::byte{7});
+  }
+  expect_pool_quiescent();
+}
+
+TEST_F(FanOutFixture, ReleasedOnceWhenATargetDiesWhilePaused) {
+  auto payload = bytes({6});
+  fabric.pause_egress(0);
+  fabric.post_write(0, targets, 0, payload);
+  fabric.isolate(3);  // dropped at resume, the others still land
+  fabric.resume_egress(0);
+  engine.run();
+  EXPECT_EQ(mem_b[0], std::byte{6});
+  EXPECT_EQ(mem_d[0], std::byte{0});
+  expect_pool_quiescent();
+}
+
+TEST_F(FanOutFixture, ReleasedOnceOnCrashWhilePaused) {
+  auto payload = bytes({6});
+  fabric.pause_egress(0);
+  fabric.post_write(0, targets, 0, payload);
+  fabric.post_write(0, targets, 8, payload);
+  EXPECT_EQ(fabric.payload_stats().live, 2u);
+  fabric.isolate(0);  // the stalled send queue dies with the node
+  expect_pool_quiescent();
+  fabric.resume_egress(0);
+  engine.run();
+  EXPECT_EQ(mem_b[0], std::byte{0});
+  expect_pool_quiescent();
 }
 
 TEST(TimingModel, OccupancyScalesWithSize) {

@@ -174,7 +174,8 @@ struct RunSpec {
 /// Run `spec` with `workers` simulation threads up to the fixed virtual
 /// horizon, and digest everything observable: per-node delivery records
 /// (subgroup, sender, seq, index, virtual delivery time, payload tag) in
-/// upcall order, final virtual time, and the merged protocol counters.
+/// upcall order, final virtual time, the merged protocol counters and the
+/// payload-staging counts.
 /// Both serial and parallel runs execute the exact same event set when
 /// driven by run_to(), so the digests must agree bit-for-bit.
 std::uint64_t digest_to_horizon(const RunSpec& spec, std::size_t workers,
@@ -260,7 +261,16 @@ std::uint64_t digest_to_horizon(const RunSpec& spec, std::size_t workers,
   }
   const metrics::ClusterStats stats = cluster.stats();
   d.mix_counters(stats.total);
+  // Payload staging is part of the contract: the same posts take the same
+  // snapshots whichever worker runs them (the peaks are host-plane only).
+  d.mix(stats.net.payload_snapshots);
+  d.mix(stats.net.payload_bytes_copied);
   cluster.shutdown();
+  // Landings on destination workers released every shared snapshot once.
+  const net::Fabric::PayloadStats p = cluster.fabric().payload_stats();
+  EXPECT_EQ(p.live, 0u) << workers << " workers";
+  EXPECT_EQ(p.idle, p.pooled) << workers << " workers";
+  EXPECT_GT(p.peak_live, 0u) << workers << " workers";
   return d.h;
 }
 
@@ -341,15 +351,18 @@ void expect_identical_across_workers(const RunSpec& spec) {
 }
 
 TEST(ParallelDeterminism, Fig03SingleSubgroupIdenticalAt124Workers) {
-  expect_identical_across_workers({8, 1, 100, 7});
+  expect_identical_across_workers(
+      {8, 1, 100, 7, sst::Discipline::strict_rr, nullptr});
 }
 
 TEST(ParallelDeterminism, Fig09BatchedMultigroupIdenticalAt124Workers) {
-  expect_identical_across_workers({6, 3, 40, 11});
+  expect_identical_across_workers(
+      {6, 3, 40, 11, sst::Discipline::strict_rr, nullptr});
 }
 
 TEST(ParallelDeterminism, Fig09DrrIdenticalAt124Workers) {
-  expect_identical_across_workers({6, 3, 40, 11, sst::Discipline::drr});
+  expect_identical_across_workers(
+      {6, 3, 40, 11, sst::Discipline::drr, nullptr});
 }
 
 // ---------------------------------------------------------------------------
@@ -360,7 +373,7 @@ TEST(ParallelDeterminism, Fig09DrrIdenticalAt124Workers) {
 // delivery predicate, and a degraded link (latency x2). Parallel runs must
 // still match serial bit-for-bit.
 TEST(ParallelChaos, DeterministicFaultSliceMatchesSerial) {
-  RunSpec spec{6, 2, 30, 23};
+  RunSpec spec{6, 2, 30, 23, sst::Discipline::strict_rr, nullptr};
   spec.chaos = [](core::Cluster& cluster) {
     // Degraded (never faster) link 1 -> 4, installed at t=0 from the main
     // thread before the workers launch.
@@ -381,7 +394,7 @@ TEST(ParallelChaos, DeterministicFaultSliceMatchesSerial) {
 // (by design) different from the serial engine's shared-RNG draws — so
 // jittered chaos compares parallel against parallel only.
 TEST(ParallelChaos, JitteredLinksAgreeAcrossWorkerCounts) {
-  RunSpec spec{6, 2, 30, 29};
+  RunSpec spec{6, 2, 30, 29, sst::Discipline::strict_rr, nullptr};
   spec.chaos = [](core::Cluster& cluster) {
     cluster.fabric().set_link_fault(0, 5, 1.5, 400);
     cluster.fabric().set_link_fault(4, 1, 1.0, 900);
