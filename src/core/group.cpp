@@ -19,13 +19,6 @@ void ClusterConfig::validate() const {
         "ClusterConfig: drr needs scan_interval >= 1ns (the cold-subgroup "
         "probe bound)");
   }
-  if (adaptive_scan &&
-      (adaptive_scan_factor <= 0 || adaptive_scan_min <= 0 ||
-       adaptive_scan_max < adaptive_scan_min)) {
-    throw std::invalid_argument(
-        "ClusterConfig: adaptive_scan needs factor > 0 and "
-        "0 < adaptive_scan_min <= adaptive_scan_max");
-  }
   if (sim_threads == 0) {
     throw std::invalid_argument(
         "ClusterConfig: sim_threads must be >= 1 (1 = serial engine)");

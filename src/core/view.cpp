@@ -119,7 +119,6 @@ void ManagedGroup::build_epoch_cluster() {
   cc.seed = cfg_.seed + view_.epoch + 1;
   cc.trace = cfg_.trace;
   cc.discipline = cfg_.discipline;
-  cc.scan_interval = cfg_.scan_interval;
   epoch_cluster_ = std::make_unique<Cluster>(engine_, fabric_, cc,
                                              view_.members, &tracer_);
   // Persistent subgroups write through the group-lifetime stores: one

@@ -61,8 +61,6 @@ class ManagedGroup {
     /// Data-plane predicate-scheduler discipline for every epoch cluster
     /// (membership predicates are paced and unaffected).
     sst::Discipline discipline = sst::Discipline::strict_rr;
-    /// DRR only: scan-lane probe period for demoted subgroups.
-    sim::Nanos scan_interval = sim::micros(25);
     /// Total-failure recovery: how long after the last restart() the
     /// recovery coordinator waits for further rejoiners before computing
     /// the common durable prefix and installing the recovery view.

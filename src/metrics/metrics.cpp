@@ -16,6 +16,10 @@ std::size_t Histogram::index_for(std::uint64_t v) {
 
 std::uint64_t Histogram::low_of(std::size_t idx) {
   if (idx < kSub) return idx;
+  // index_for never yields [kSub, 4 * kSub): values >= kSub have msb >= 4.
+  // Those indices stand for the first log bucket's low edge, so the bucket
+  // of value kSub - 1 ends at kSub - 1.
+  if (idx < 4 * kSub) return kSub;
   const std::size_t msb = idx / kSub;
   const std::uint64_t sub = idx % kSub;
   return (1ULL << msb) + (sub << (msb - 4));

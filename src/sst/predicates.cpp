@@ -6,6 +6,34 @@
 
 namespace spindle::sst {
 
+namespace {
+
+/// Idle backoff (reactive and DRR): after kIdleStreakThreshold quiet rounds
+/// the scheduler backs off, doubling per further quiet round up to
+/// idle_backoff_min << kIdleMaxShift (and never past idle_backoff_max).
+constexpr int kIdleStreakThreshold = 3;
+constexpr int kIdleMaxShift = 8;
+
+/// DRR: credit granted per weight unit per round, in ns of CPU.
+constexpr std::int64_t kDrrQuantum = 1000;
+/// DRR: deficit ceiling, in quantum-rounds of the group's weight: an
+/// idle-but-polled group cannot bank unbounded credit.
+constexpr std::int64_t kDrrDeficitCapRounds = 8;
+/// DRR: consecutive quiet services before a group is demoted onto the scan
+/// lane (only groups with a non-zero scan_interval demote).
+constexpr int kDrrDemoteAfter = 8;
+/// DRR: a group must also have been fire-free this long before it is
+/// demoted: a hot group drains its window and sits out a handful of *fast*
+/// rounds between bursts, and those must not count against it.
+constexpr sim::Nanos kDrrDemoteQuiet = sim::micros(25);
+/// DRR: courtesy probes per doorbell wake from quiescence (rotating over
+/// the scan lane). Bounds the probe cost a wake can charge to a node with a
+/// long scan lane; the lane's own schedule still carries the
+/// `scan_interval` starvation bound.
+constexpr std::size_t kDrrKickBudget = 4;
+
+}  // namespace
+
 const char* to_string(PredicateClass c) {
   switch (c) {
     case PredicateClass::one_time:
@@ -322,11 +350,11 @@ sim::Co<> Predicates::run_reactive() {
 
     if (progress) {
       idle_streak = 0;
-    } else if (++idle_streak >= cfg_.idle_streak_threshold) {
+    } else if (++idle_streak >= kIdleStreakThreshold) {
       // Quiescent backoff; the fabric doorbell cuts the wait short when a
       // remote write lands (§2.4's doorbell wake-up).
-      const int shift = std::min(idle_streak - cfg_.idle_streak_threshold,
-                                 cfg_.idle_backoff_max_shift);
+      const int shift =
+          std::min(idle_streak - kIdleStreakThreshold, kIdleMaxShift);
       const sim::Nanos backoff =
           std::min(cfg_.idle_backoff_min << shift, cfg_.idle_backoff_max);
       if (cfg_.doorbell != nullptr) {
@@ -342,18 +370,9 @@ sim::Co<> Predicates::run_reactive() {
 /// cannot bank unbounded CPU against its busy peers.
 void Predicates::credit_group(Group& g, std::int64_t rounds) {
   const std::int64_t per_round =
-      static_cast<std::int64_t>(g.opts.weight) * cfg_.drr_quantum;
-  const std::int64_t cap = per_round * cfg_.drr_deficit_cap_rounds;
+      static_cast<std::int64_t>(g.opts.weight) * kDrrQuantum;
+  const std::int64_t cap = per_round * kDrrDeficitCapRounds;
   g.sched.deficit = std::min(g.sched.deficit + rounds * per_round, cap);
-}
-
-sim::Nanos Predicates::scan_interval_for(const Group& g) const {
-  if (!cfg_.adaptive_scan || round_cost_ewma_ == 0) {
-    return g.opts.scan_interval;
-  }
-  const auto derived = static_cast<sim::Nanos>(
-      cfg_.adaptive_scan_factor * static_cast<double>(round_cost_ewma_));
-  return std::clamp(derived, cfg_.adaptive_scan_min, cfg_.adaptive_scan_max);
 }
 
 /// Pull every demoted group off the scan lane (a rearm made dormant
@@ -380,8 +399,8 @@ void Predicates::promote_all() {
 ///     once some group has made progress, groups still in debt sit the
 ///     round out — that is what enforces the weight ratio under load;
 ///  4. service debits the compute+post CPU the group actually charged;
-///  5. a group quiet for `drr_demote_after` services *and* fire-free for
-///     `drr_demote_quiet` is demoted onto the scan lane and probed once
+///  5. a group quiet for kDrrDemoteAfter services *and* fire-free for
+///     kDrrDemoteQuiet is demoted onto the scan lane and probed once
 ///     per `scan_interval` instead of every round; a fire at a probe or a
 ///     rearm promotes it back.
 ///
@@ -433,7 +452,7 @@ sim::Co<> Predicates::run_drr() {
       for (std::size_t k = 0; k < ready_count; ++k) {
         const Group& g = groups_[order[k]];
         const std::int64_t per_round =
-            static_cast<std::int64_t>(g.opts.weight) * cfg_.drr_quantum;
+            static_cast<std::int64_t>(g.opts.weight) * kDrrQuantum;
         const std::int64_t need =
             (-g.sched.deficit + per_round - 1) / per_round;
         jump = std::min(jump, need);
@@ -463,10 +482,7 @@ sim::Co<> Predicates::run_drr() {
     const std::size_t kick_start = order.size();
     if (probe_kick_) {
       probe_kick_ = false;
-      std::size_t budget =
-          cfg_.drr_kick_budget > 0
-              ? static_cast<std::size_t>(cfg_.drr_kick_budget)
-              : groups_.size();
+      std::size_t budget = kDrrKickBudget;
       for (std::size_t step = 0; step < groups_.size() && budget > 0;
            ++step) {
         const std::size_t i = (kick_cursor_ + step) % groups_.size();
@@ -501,13 +517,13 @@ sim::Co<> Predicates::run_drr() {
         carry += work;
         sc.deficit -= charge;
         if (probe) {
-          sc.next_scan = engine_.now() + scan_interval_for(g);
-        } else if (++sc.quiet_streak >= cfg_.drr_demote_after &&
+          sc.next_scan = engine_.now() + g.opts.scan_interval;
+        } else if (++sc.quiet_streak >= kDrrDemoteAfter &&
                    g.opts.scan_interval > 0 &&
-                   engine_.now() - sc.last_fire >= cfg_.drr_demote_quiet) {
+                   engine_.now() - sc.last_fire >= kDrrDemoteQuiet) {
           sc.demoted = true;
           ++sc.demotions;
-          sc.next_scan = engine_.now() + scan_interval_for(g);
+          sc.next_scan = engine_.now() + g.opts.scan_interval;
         }
         if (cfg_.on_service) cfg_.on_service(g.opts, reason, sc.deficit);
         if (g.opts.lock) g.opts.lock->unlock();
@@ -545,19 +561,10 @@ sim::Co<> Predicates::run_drr() {
     co_await engine_.sleep(over + burn);
 
     if (progress) {
-      // Adaptive scan: fold this busy round's full virtual cost (compute,
-      // post, pauses, lock waits — everything since round_start) into the
-      // EWMA the probe period is derived from. Quiet rounds cost ~nothing
-      // and would drag the interval to its floor, so only progressing
-      // rounds count as "useful work".
-      const sim::Nanos round_cost = engine_.now() - round_start;
-      round_cost_ewma_ = round_cost_ewma_ == 0
-                             ? round_cost
-                             : (7 * round_cost_ewma_ + round_cost) / 8;
       idle_streak = 0;
-    } else if (++idle_streak >= cfg_.idle_streak_threshold) {
-      const int shift = std::min(idle_streak - cfg_.idle_streak_threshold,
-                                 cfg_.idle_backoff_max_shift);
+    } else if (++idle_streak >= kIdleStreakThreshold) {
+      const int shift =
+          std::min(idle_streak - kIdleStreakThreshold, kIdleMaxShift);
       sim::Nanos backoff =
           std::min(cfg_.idle_backoff_min << shift, cfg_.idle_backoff_max);
       // The scan lane bounds the backoff: a demoted group's probe may not

@@ -195,35 +195,6 @@ class Predicates {
     /// Reactive service discipline; `strict_rr` keeps the original sweep
     /// bit-identical (existing golden digests depend on it).
     Discipline discipline = Discipline::strict_rr;
-    /// DRR: credit granted per weight unit per round, in ns of CPU.
-    sim::Nanos drr_quantum = 1000;
-    /// DRR: consecutive quiet services before a group is demoted onto the
-    /// scan lane (only groups with a non-zero scan_interval demote).
-    int drr_demote_after = 8;
-    /// DRR: a group must also have been fire-free this long before it is
-    /// demoted — a hot group drains its window and sits out a handful of
-    /// *fast* rounds between bursts, and those must not count against it.
-    sim::Nanos drr_demote_quiet = sim::micros(25);
-    /// DRR: courtesy probes per doorbell wake from quiescence (rotating
-    /// over the scan lane). Bounds the probe cost a wake can charge to a
-    /// node with a long scan lane; the lane's own schedule still carries
-    /// the `scan_interval` starvation bound.
-    int drr_kick_budget = 4;
-    /// DRR: deficit ceiling, in quantum-rounds of the group's weight — an
-    /// idle-but-polled group cannot bank unbounded credit.
-    int drr_deficit_cap_rounds = 8;
-    /// DRR: derive the scan-lane probe period from the observed busy-round
-    /// cost (integer EWMA over virtual time per progressing round) instead
-    /// of each group's fixed scan_interval: probes stay a bounded
-    /// ~1/adaptive_scan_factor fraction of useful work whether the node is
-    /// lightly or heavily loaded. Clamped to
-    /// [adaptive_scan_min, adaptive_scan_max]; until the EWMA has a sample
-    /// the fixed scan_interval still applies. Off by default — the
-    /// fixed-interval path stays bit-identical.
-    bool adaptive_scan = false;
-    double adaptive_scan_factor = 16.0;
-    sim::Nanos adaptive_scan_min = 5000;
-    sim::Nanos adaptive_scan_max = 250000;
     /// Observability: the DRR scheduler serviced a group (the
     /// `sched_service` trace span); `deficit` is the post-debit balance.
     std::function<void(const GroupOptions& group, ServiceReason reason,
@@ -235,8 +206,6 @@ class Predicates {
     sim::Signal* doorbell = nullptr;
     sim::Nanos idle_backoff_min = 0;
     sim::Nanos idle_backoff_max = 0;
-    int idle_streak_threshold = 3;
-    int idle_backoff_max_shift = 8;
     // Paced mode (set => paced): virtual time to sleep after a round that
     // posted `post` worth of RDMA CPU.
     std::function<sim::Nanos(sim::Nanos post)> pace;
@@ -304,13 +273,6 @@ class Predicates {
 
   std::size_t num_groups() const noexcept { return groups_.size(); }
   std::size_t num_predicates() const noexcept { return preds_.size(); }
-  /// Adaptive-scan observability: the busy-round cost EWMA (0 = no busy
-  /// round observed yet) and the probe period a demotion of group `g`
-  /// would use right now.
-  sim::Nanos round_cost_ewma() const noexcept { return round_cost_ewma_; }
-  sim::Nanos effective_scan_interval(GroupId g) const {
-    return scan_interval_for(groups_[g]);
-  }
   const PredicateStats& stats(PredId p) const { return preds_[p].stats; }
   const GroupSched& group_sched(GroupId g) const { return groups_[g].sched; }
 
@@ -368,10 +330,6 @@ class Predicates {
   /// schedulers suppress idle backoff for the round).
   sim::Nanos spurious_burn();
   void credit_group(Group& g, std::int64_t rounds);
-  /// The probe period for demoting/probing `g`: the group's fixed
-  /// scan_interval, or the clamped factor x round-cost EWMA under
-  /// adaptive_scan (once a busy round has been observed).
-  sim::Nanos scan_interval_for(const Group& g) const;
   void promote_all();
   void kick();
   sim::Co<> run_reactive();
@@ -386,7 +344,6 @@ class Predicates {
   std::vector<LaneDrop> lane_drops_;
   std::vector<SpuriousWindow> spurious_;
   std::uint64_t rearm_generation_ = 0;  // bumped by rearm(); schedulers poll
-  sim::Nanos round_cost_ewma_ = 0;  // adaptive scan: busy-round virtual cost
   bool probe_kick_ = false;  // doorbell rang from quiescence: courtesy-probe
                              // the scan lane on the next idle round
   std::size_t kick_cursor_ = 0;  // rotation point for budgeted courtesy probes

@@ -75,6 +75,20 @@ TEST(Histogram, BucketsCoverAllSamples) {
   EXPECT_EQ(total, h.count());
 }
 
+TEST(Histogram, LargestExactBucketEndsAtItsValue) {
+  // 15 is the last exactly-bucketed value; its bucket's upper edge is the
+  // first log bucket's low edge (16), not a shifted-out garbage value.
+  Histogram h;
+  for (int i = 0; i < 3; ++i) h.add(15);
+  h.add(1000);
+  EXPECT_EQ(h.percentile(50), 15u);
+  const auto buckets = h.buckets();
+  ASSERT_FALSE(buckets.empty());
+  EXPECT_EQ(buckets.front().low, 15u);
+  EXPECT_EQ(buckets.front().high, 15u);
+  EXPECT_EQ(buckets.front().count, 3u);
+}
+
 TEST(Summary, EmptyReportsZeroNotInfinity) {
   Summary s;
   EXPECT_EQ(s.count(), 0u);

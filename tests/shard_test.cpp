@@ -222,6 +222,115 @@ TEST(ShardDeterminism, TwoShardGoldenAcrossSimThreads) {
 }
 
 // ---------------------------------------------------------------------------
+// 2-shard golden under the DRR discipline, pinned at 1 / 2 workers. The
+// strict-RR golden above never runs the deficit accounting, so this is what
+// covers the DRR weights the domain registers: the shard subgroups' and the
+// sequencer group's (1), and the grant predicate's (4). Half the sends are
+// cross-shard and the slots are 8 KB, so the sequencer node's groups contend
+// hard enough that changing any one of those weights moves the digest.
+
+constexpr std::uint64_t kGoldenTwoShardDrr = 0x6f6789f555458950;
+
+TEST(ShardDeterminism, TwoShardDrrGoldenAcrossSimThreads) {
+  constexpr std::size_t kNodes = 8;
+  constexpr std::size_t kMessages = 100;
+  constexpr std::uint64_t kSeed = 5;
+  for (std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    ClusterConfig cc;
+    cc.nodes = kNodes;
+    cc.seed = kSeed;
+    cc.discipline = sst::Discipline::drr;
+    cc.sim_threads = workers;
+    Cluster cluster(cc);
+    std::vector<net::NodeId> members;
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      members.push_back(static_cast<net::NodeId>(i));
+    }
+    DomainConfig dc;
+    dc.shards = 2;
+    dc.members = members;
+    dc.opts = ProtocolOptions::spindle();
+    dc.opts.window_size = 16;
+    dc.opts.max_msg_size = 8192;
+    OrderingDomain dom(cluster, std::move(dc));
+    cluster.start();
+
+    struct Rec {
+      std::uint64_t shard, sender, gsn, tag;
+      std::int64_t seq;
+      sim::Nanos at;
+    };
+    std::vector<std::vector<Rec>> per_node(kNodes);
+    for (net::NodeId m : members) {
+      sim::Engine& eng = cluster.engine_for(m);
+      dom.attach(m, [&recs = per_node[m], &eng](const DomainDelivery& d) {
+        recs.push_back(Rec{d.shard, d.sender, d.gsn, tag_of(d.data), d.seq,
+                           eng.now()});
+      });
+    }
+    std::uint64_t crosses = 0;
+    for (net::NodeId s : members) {
+      std::vector<bool> is_cross(kMessages);
+      for (std::size_t i = 0; i < kMessages; ++i) {
+        is_cross[i] = workload::sharded_is_cross(
+            workload::sharded_message_hash(kSeed, s, i), 0.5);
+        crosses += is_cross[i] ? 1 : 0;
+      }
+      cluster.engine_for(s).spawn(
+          [](OrderingDomain* dm, net::NodeId id,
+             std::vector<bool> xs) -> sim::Co<> {
+            for (std::size_t i = 0; i < xs.size(); ++i) {
+              const std::uint64_t h =
+                  workload::sharded_message_hash(kSeed, id, i);
+              const std::uint64_t tag =
+                  (static_cast<std::uint64_t>(id) << 32) | i;
+              auto builder = [tag](std::span<std::byte> buf) {
+                std::memcpy(buf.data(), &tag, sizeof tag);
+              };
+              if (xs[i]) {
+                co_await dm->send_multi(
+                    id, workload::sharded_cross_mask(h, dm->shards(), 2), 512,
+                    builder);
+              } else {
+                co_await dm->send(id, h, 512, builder);
+              }
+            }
+          }(&dom, s, std::move(is_cross)));
+    }
+    const std::uint64_t expect = kNodes * kMessages * kNodes;
+    ASSERT_TRUE(cluster.run_until(
+        [&] {
+          std::uint64_t total = 0;
+          for (const auto& recs : per_node) total += recs.size();
+          return total >= expect;
+        },
+        sim::seconds(30)))
+        << "workers=" << workers;
+    EXPECT_GT(crosses, 0u);
+    EXPECT_EQ(dom.grants_issued(), crosses);
+
+    Digest d;
+    for (const auto& recs : per_node) {
+      d.mix(recs.size());
+      for (const Rec& r : recs) {
+        d.mix(r.shard);
+        d.mix(r.sender);
+        d.mix(static_cast<std::uint64_t>(r.seq));
+        d.mix(r.gsn);
+        d.mix(r.tag);
+        d.mix(static_cast<std::uint64_t>(r.at));
+      }
+    }
+    cluster.shutdown();
+    if (workers == 1) {
+      std::printf("digest 2-shard drr: 0x%llx\n",
+                  static_cast<unsigned long long>(d.h));
+    }
+    EXPECT_EQ(d.h, kGoldenTwoShardDrr) << "workers=" << workers;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Ordering invariants of the merged stream (k = 4, mixed singles/crosses,
 // every sender interleaving both from one coroutine).
 
