@@ -34,7 +34,7 @@ int main() {
     }
     auto r = workload::run_experiment(cfg);
     const double post_pct = 100.0 * static_cast<double>(r.stats.total.post_cpu) /
-                            16.0 / static_cast<double>(r.makespan);
+                            16.0 / static_cast<double>(r.cost.makespan);
     t.row({name, gbps(r.throughput_gbps),
            Table::num(r.median_latency_us, 0), Table::num(post_pct, 0)});
   };

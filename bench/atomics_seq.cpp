@@ -138,9 +138,9 @@ int main() {
                Table::num(static_cast<double>(
                               r.grant_latency_ns.percentile(99)) / 1e3, 2),
                gbps(r.throughput_gbps), Table::integer(r.grants_issued),
-               Table::num(r.wall_seconds, 2) +
+               Table::num(r.cost.setup_seconds + r.cost.run_seconds, 2) +
                    (r.completed ? "" : " [INCOMPLETE: watchdog tripped]")});
-        report.add_run(label, r);
+        report.add_run(label, r.cost, r.throughput_gbps, r.expected_deliveries);
         report.add_metric("grant_p50_us_" + label,
                           static_cast<double>(r.grant_latency_ns.median()) /
                               1e3);

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "workload/experiment.hpp"
-#include "workload/sharded.hpp"
+#include "workload/run_cost.hpp"
 #include "workload/table.hpp"
 
 extern "C" char** environ;  // POSIX: not declared by any header
@@ -63,8 +63,9 @@ inline std::string check_completed(const ExperimentResult& r) {
 ///                     "shards": ..., "cross_shard_fraction": ...,
 ///                     "sim_threads": ..., "hardware_concurrency": ...,
 ///                     "env": { "SPINDLE_...": "...", ... } },
-///     "runs": [ { "label": "...", "events_per_sec": ..., "wall_seconds":
-///                 ..., "makespan_ns": ..., "msgs_delivered": ...,
+///     "runs": [ { "label": "...", "events_per_sec": ...,
+///                 "setup_seconds": ..., "run_seconds": ...,
+///                 "makespan_ns": ..., "msgs_delivered": ...,
 ///                 "engine_steps": ..., "sim_workers": ...,
 ///                 "throughput_gbps": ... }, ... ],
 ///     "metrics": { "<key>": <number>, ... } }
@@ -98,46 +99,13 @@ class BenchReport {
     has_shard_provenance_ = true;
   }
 
-  /// Record one experiment under `label`. events/sec is engine events
-  /// dispatched per wall second — the simulator-speed headline number.
-  void add_run(const std::string& label, const ExperimentResult& r) {
-    Run run;
-    run.label = label;
-    run.engine_steps = r.engine_steps;
-    run.wall_seconds = r.wall_seconds;
-    run.makespan_ns = static_cast<std::uint64_t>(r.makespan);
-    run.msgs_delivered = r.stats.total.messages_delivered;
-    run.sim_workers = r.sim_workers;
-    run.throughput_gbps = r.throughput_gbps;
-    runs_.push_back(std::move(run));
-  }
-
-  /// Record an averaged sweep: engine_steps/wall_seconds are summed over
-  /// the sweep's runs, protocol metrics come from the last run.
-  void add_run(const std::string& label, const workload::Averaged& a) {
-    Run run;
-    run.label = label;
-    run.engine_steps = a.engine_steps;
-    run.wall_seconds = a.wall_seconds;
-    run.makespan_ns = static_cast<std::uint64_t>(a.last.makespan);
-    run.msgs_delivered = a.last.stats.total.messages_delivered;
-    run.sim_workers = a.last.sim_workers;
-    run.throughput_gbps = a.mean_gbps;
-    runs_.push_back(std::move(run));
-  }
-
-  /// Record one sharded-domain run: msgs_delivered counts merged upcalls
-  /// (each send exactly once per member), matching the throughput metric.
-  void add_run(const std::string& label, const workload::ShardedResult& r) {
-    Run run;
-    run.label = label;
-    run.engine_steps = r.engine_steps;
-    run.wall_seconds = r.wall_seconds;
-    run.makespan_ns = static_cast<std::uint64_t>(r.makespan);
-    run.msgs_delivered = r.expected_deliveries;
-    run.sim_workers = r.sim_workers;
-    run.throughput_gbps = r.throughput_gbps;
-    runs_.push_back(std::move(run));
+  /// Record one timed run under `label`. events/sec is engine events
+  /// dispatched per wall second of the run (setup excluded) — the
+  /// simulator-speed headline number. `msgs_delivered` is the count the
+  /// throughput metric is computed over.
+  void add_run(const std::string& label, const workload::RunCost& cost,
+               double throughput_gbps, std::uint64_t msgs_delivered) {
+    runs_.push_back(Run{label, cost, throughput_gbps, msgs_delivered});
   }
 
   /// Free-form scalar (e.g. a speedup ratio or an ops/sec measurement that
@@ -191,20 +159,19 @@ class BenchReport {
     std::fprintf(f, "  \"runs\": [");
     for (std::size_t i = 0; i < runs_.size(); ++i) {
       const Run& r = runs_[i];
-      const double eps =
-          r.wall_seconds > 0
-              ? static_cast<double>(r.engine_steps) / r.wall_seconds
-              : 0;
       std::fprintf(f,
                    "%s\n    { \"label\": \"%s\", \"events_per_sec\": %.6g, "
-                   "\"wall_seconds\": %.6g, \"makespan_ns\": %llu, "
-                   "\"msgs_delivered\": %llu, \"engine_steps\": %llu, "
-                   "\"sim_workers\": %llu, \"throughput_gbps\": %.6g }",
-                   i ? "," : "", escape(r.label).c_str(), eps, r.wall_seconds,
-                   static_cast<unsigned long long>(r.makespan_ns),
+                   "\"setup_seconds\": %.6g, \"run_seconds\": %.6g, "
+                   "\"makespan_ns\": %llu, \"msgs_delivered\": %llu, "
+                   "\"engine_steps\": %llu, \"sim_workers\": %llu, "
+                   "\"throughput_gbps\": %.6g }",
+                   i ? "," : "", escape(r.label).c_str(),
+                   r.cost.events_per_sec(), r.cost.setup_seconds,
+                   r.cost.run_seconds,
+                   static_cast<unsigned long long>(r.cost.makespan),
                    static_cast<unsigned long long>(r.msgs_delivered),
-                   static_cast<unsigned long long>(r.engine_steps),
-                   static_cast<unsigned long long>(r.sim_workers),
+                   static_cast<unsigned long long>(r.cost.engine_steps),
+                   static_cast<unsigned long long>(r.cost.sim_workers),
                    r.throughput_gbps);
     }
     std::fprintf(f, "\n  ],\n  \"metrics\": {");
@@ -221,12 +188,9 @@ class BenchReport {
  private:
   struct Run {
     std::string label;
-    std::uint64_t engine_steps = 0;
-    double wall_seconds = 0;
-    std::uint64_t makespan_ns = 0;
-    std::uint64_t msgs_delivered = 0;
-    std::uint64_t sim_workers = 1;
+    workload::RunCost cost;
     double throughput_gbps = 0;
+    std::uint64_t msgs_delivered = 0;
   };
 
   static std::string escape(const std::string& s) {

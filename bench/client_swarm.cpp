@@ -62,13 +62,7 @@ int main() {
            Table::num(r.p999_us, 1)});
 
     const std::string label = "poisson_" + krps(loads_rps[i]) + "krps";
-    workload::ExperimentResult er;
-    er.completed = r.completed;
-    er.makespan = duration;
-    er.engine_steps = r.engine_steps;
-    er.wall_seconds = r.wall_seconds;
-    er.stats = r.stats;
-    report.add_run(label, er);
+    report.add_run(label, r.cost, 0, r.stats.total.messages_delivered);
     report.add_metric(label + "_goodput_rps", r.goodput_rps);
     report.add_metric(label + "_p50_us", r.p50_us);
     report.add_metric(label + "_p99_us", r.p99_us);

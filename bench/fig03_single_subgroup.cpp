@@ -50,8 +50,10 @@ int main() {
 
       const std::string label =
           std::string(pattern_name(pattern)) + "/" + std::to_string(n);
-      report.add_run(label + "/baseline", base);
-      report.add_run(label + "/batching", opt);
+      report.add_run(label + "/baseline", base.cost, base.mean_gbps,
+                     base.last.stats.total.messages_delivered);
+      report.add_run(label + "/batching", opt.cost, opt.mean_gbps,
+                     opt.last.stats.total.messages_delivered);
       t.row({pattern_name(pattern), Table::integer(n),
              gbps(base.mean_gbps) + "+-" + gbps(base.stddev_gbps),
              gbps(opt.mean_gbps) + "+-" + gbps(opt.stddev_gbps),
@@ -60,7 +62,7 @@ int main() {
       if (pattern == SenderPattern::all && n == 16) {
         batch16 = opt.last;
         base16 = base.last.stats.total;
-        base16_makespan = base.last.makespan;
+        base16_makespan = base.last.cost.makespan;
       }
     }
     ++pi;
@@ -83,13 +85,13 @@ int main() {
          Table::num(100.0 * static_cast<double>(base16.post_cpu) / 16.0 /
                     static_cast<double>(base16_makespan), 1),
          Table::num(100.0 * static_cast<double>(ot.post_cpu) / 16.0 /
-                    static_cast<double>(batch16.makespan), 1),
+                    static_cast<double>(batch16.cost.makespan), 1),
          "64.84s -> 4.29s"});
   c.row({"sender wait (% of runtime)",
          Table::num(100.0 * static_cast<double>(base16.sender_wait) / 16.0 /
                     static_cast<double>(base16_makespan), 1),
          Table::num(100.0 * static_cast<double>(ot.sender_wait) / 16.0 /
-                    static_cast<double>(batch16.makespan), 1),
+                    static_cast<double>(batch16.cost.makespan), 1),
          "97.6% -> 52.7%"});
   c.print();
   return 0;

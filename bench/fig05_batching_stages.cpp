@@ -70,7 +70,8 @@ int main() {
       cfg.opts.send_batching = st.s;
       cfg.messages_per_sender = scaled(st.r ? 2000 : 800);
       auto r = workload::run_averaged(cfg, 2);
-      report.add_run(std::to_string(n) + "/" + st.name, r);
+      report.add_run(std::to_string(n) + "/" + st.name, r.cost, r.mean_gbps,
+                     r.last.stats.total.messages_delivered);
       t.row({Table::integer(n), st.name, gbps(r.mean_gbps),
              Table::num(r.mean_median_latency_us, 1),
              (n == 16 && st.s) ? "both metrics improve each stage" : ""});

@@ -33,10 +33,10 @@ int main() {
     ++count;
     const double lw_off = 100.0 * static_cast<double>(off.stats.total.lock_wait) /
                           static_cast<double>(n) /
-                          static_cast<double>(off.makespan);
+                          static_cast<double>(off.cost.makespan);
     const double lw_on = 100.0 * static_cast<double>(on.stats.total.lock_wait) /
                          static_cast<double>(n) /
-                         static_cast<double>(on.makespan);
+                         static_cast<double>(on.cost.makespan);
     t.row({Table::integer(n), gbps(off.throughput_gbps),
            gbps(on.throughput_gbps), Table::num(ratio, 2) + "x",
            Table::num(lw_off, 0) + "% / " + Table::num(lw_on, 0) + "%",

@@ -106,8 +106,10 @@ int main() {
             ? drr.delivery_rate_per_node / rr.delivery_rate_per_node
             : 0;
     const std::string kk = std::to_string(k);
-    report.add_run("strict_rr/k=" + kk, rr);
-    report.add_run("drr/k=" + kk, drr);
+    report.add_run("strict_rr/k=" + kk, rr.cost, rr.throughput_gbps,
+                   rr.stats.total.messages_delivered);
+    report.add_run("drr/k=" + kk, drr.cost, drr.throughput_gbps,
+                   drr.stats.total.messages_delivered);
     report.add_metric("speedup_k" + kk, speedup);
     d.row({Table::integer(k), Table::num(rr.delivery_rate_per_node / 1e3, 1),
            Table::num(drr.delivery_rate_per_node / 1e3, 1),

@@ -61,7 +61,7 @@ std::uint64_t histogram_digest(const metrics::Histogram& h) {
 
 int main() {
   Table t("Parallel engine scaling (fig09-style workload, serial vs workers)",
-          {"nodes", "workers", "wall s", "events/s", "speedup", "drift"});
+          {"nodes", "workers", "run s", "events/s", "speedup", "drift"});
   BenchReport report("parallel_engine");
   report.set_provenance(1, scaled(100));
 
@@ -75,7 +75,7 @@ int main() {
     const std::size_t msgs = nodes <= 16   ? scaled(100)
                              : nodes <= 64 ? scaled(50)
                                            : scaled(40);
-    double serial_wall = 0;
+    double serial_run = 0;
     std::uint64_t serial_digest = 0;
     for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                 std::size_t{8}}) {
@@ -101,26 +101,23 @@ int main() {
       const std::uint64_t digest =
           histogram_digest(r.stats.total.delivery_latency_ns);
       if (workers == 1) {
-        serial_wall = r.wall_seconds;
+        serial_run = r.cost.run_seconds;
         serial_digest = digest;
       }
       const bool drift = !r.completed || digest != serial_digest;
       drift_detected = drift_detected || drift;
       const double speedup =
-          r.wall_seconds > 0 ? serial_wall / r.wall_seconds : 0;
+          r.cost.run_seconds > 0 ? serial_run / r.cost.run_seconds : 0;
 
       std::string label = "n";
       label += std::to_string(nodes) + "_w" + std::to_string(workers);
       t.row({Table::integer(nodes), Table::integer(workers),
-             Table::num(r.wall_seconds, 2),
-             Table::num(r.wall_seconds > 0
-                            ? static_cast<double>(r.engine_steps) /
-                                  r.wall_seconds
-                            : 0,
-                        0),
+             Table::num(r.cost.run_seconds, 2),
+             Table::num(r.cost.events_per_sec(), 0),
              Table::num(speedup, 2) + check_completed(r),
              drift ? "DRIFT" : "ok"});
-      report.add_run(label, r);
+      report.add_run(label, r.cost, r.throughput_gbps,
+                     r.stats.total.messages_delivered);
       report.add_metric("speedup_" + label, speedup);
     }
   }

@@ -97,9 +97,9 @@ int main() {
              Table::num(static_cast<double>(
                             r.cross_latency_ns.median()) / 1e3, 1),
              Table::integer(r.grants_issued),
-             Table::num(r.wall_seconds, 2) +
+             Table::num(r.cost.setup_seconds + r.cost.run_seconds, 2) +
                  (r.completed ? "" : " [INCOMPLETE: watchdog tripped]")});
-      report.add_run(label, r);
+      report.add_run(label, r.cost, r.throughput_gbps, r.expected_deliveries);
       report.add_metric("tput_gbps_" + label, r.throughput_gbps);
       if (cross > 0) {
         report.add_metric("cross_p50_us_" + label,

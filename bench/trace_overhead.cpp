@@ -52,17 +52,17 @@ int main() {
   Table t("Tracing overhead (8 nodes, all senders, 10KB)",
           {"tracing", "GB/s", "makespan (us)", "events", "wall (ms)"});
   t.row({"off", gbps(r_off.throughput_gbps),
-         Table::num(sim::to_seconds(r_off.makespan) * 1e6, 1),
+         Table::num(sim::to_seconds(r_off.cost.makespan) * 1e6, 1),
          Table::integer(r_off.trace_events), Table::num(ms_off, 1)});
   t.row({"on", gbps(r_on.throughput_gbps),
-         Table::num(sim::to_seconds(r_on.makespan) * 1e6, 1),
+         Table::num(sim::to_seconds(r_on.cost.makespan) * 1e6, 1),
          Table::integer(r_on.trace_events), Table::num(ms_on, 1)});
   t.print();
 
-  if (r_off.makespan != r_on.makespan) {
+  if (r_off.cost.makespan != r_on.cost.makespan) {
     std::printf("FAIL: tracing perturbed virtual time (%lld != %lld)\n",
-                static_cast<long long>(r_off.makespan),
-                static_cast<long long>(r_on.makespan));
+                static_cast<long long>(r_off.cost.makespan),
+                static_cast<long long>(r_on.cost.makespan));
     return 1;
   }
   std::printf("virtual time identical with tracing on; wall-clock delta "

@@ -281,14 +281,9 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
   };
   preds.configure(std::move(cfg));
 
-  // Lock-free (membership SST only). The control plane outranks any data
-  // subgroup: give it a high DRR weight and exempt it from scan-lane
-  // demotion (paced scheduling ignores both today, but the registry is the
-  // single source of truth for group scheduling parameters).
+  // Lock-free (membership SST only).
   sst::Predicates::GroupOptions gopts;
   gopts.name = "membership";
-  gopts.weight = 4;
-  gopts.scan_interval = 0;
   const auto gid = preds.add_group(std::move(gopts));
 
   // 1. Heartbeat.
@@ -483,7 +478,6 @@ void ManagedGroup::setup_coordinator_predicates() {
   coord_preds_->configure(std::move(cfg));
   sst::Predicates::GroupOptions gopts;
   gopts.name = "coordinator";
-  gopts.weight = 4;  // control plane: outranks data subgroups under DRR
   const auto gid = coord_preds_->add_group(std::move(gopts));
 
   // Every member is suspected or dead: no leader can emerge and no primary

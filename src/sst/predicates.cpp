@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <span>
 
 namespace spindle::sst {
 
 namespace {
 
-/// Idle backoff (reactive and DRR): after kIdleStreakThreshold quiet rounds
+/// Idle backoff (reactive scheduler): after kIdleStreakThreshold quiet rounds
 /// the scheduler backs off, doubling per further quiet round up to
 /// idle_backoff_min << kIdleMaxShift (and never past idle_backoff_max).
 constexpr int kIdleStreakThreshold = 3;
@@ -285,85 +286,7 @@ bool Predicates::eval_group(Group& g, sim::Nanos& work, sim::Nanos& charge,
 sim::Co<> Predicates::run() {
   assert(cfg_.stopped && "configure() the scheduler before run()");
   if (cfg_.pace) return run_paced();
-  if (cfg_.discipline == Discipline::drr) return run_drr();
   return run_reactive();
-}
-
-/// The data-plane discipline: the dedicated polling thread of §2.4, with
-/// §3.4's lock staging and the doorbell-backed quiescent backoff.
-sim::Co<> Predicates::run_reactive() {
-  int idle_streak = 0;
-  std::uint64_t rearm_seen = rearm_generation_;
-  while (!cfg_.stopped()) {
-    if (cfg_.stall_until) {
-      const sim::Nanos until = cfg_.stall_until();
-      if (until > engine_.now()) {
-        // Slow host (fault injection): the polling thread is descheduled.
-        co_await engine_.sleep(until - engine_.now());
-        continue;
-      }
-    }
-    if (rearm_generation_ != rearm_seen) {
-      // A rearm landed (view install): the doorbell kick already cut any
-      // in-flight backoff short; also drop the streak so the re-armed
-      // predicates get full-rate rounds again.
-      rearm_seen = rearm_generation_;
-      idle_streak = 0;
-    }
-    bool progress = false;
-    sim::Nanos carry = 0;  // eval cost of quiet groups, slept once per round
-
-    for (Group& g : groups_) {
-      if (cfg_.stopped()) break;
-      if (g.opts.lock) co_await g.opts.lock->lock();
-      plan_.clear();
-      merge_released();
-      sim::Nanos work = 0;
-      sim::Nanos charge = 0;  // unused: strict-RR has no deficit account
-      const bool acted = eval_group(g, work, charge, plan_);
-      if (g.opts.on_work) g.opts.on_work(work);
-      if (!acted && plan_.empty()) {
-        carry += work;
-        if (g.opts.lock) g.opts.lock->unlock();
-        continue;
-      }
-      progress = true;
-      if (g.opts.on_fire) g.opts.on_fire(work);
-      co_await engine_.sleep(work + carry);
-      carry = 0;
-      if (g.opts.lock && g.opts.early_release) g.opts.lock->unlock();
-      const std::uint64_t arg = plan_.arg();
-      const sim::Nanos post = issue_plan();
-      if (post > 0) {
-        if (g.opts.on_post) g.opts.on_post(post, arg);
-        co_await engine_.sleep(post);
-      }
-      if (g.opts.lock && !g.opts.early_release) g.opts.lock->unlock();
-    }
-    if (cfg_.stopped()) break;
-
-    sim::Nanos over = carry;
-    if (cfg_.iteration_pause) over += cfg_.iteration_pause();
-    const sim::Nanos burn = spurious_burn();
-    if (burn > 0) progress = true;  // phantom doorbell: no quiescent backoff
-    co_await engine_.sleep(over + burn);
-
-    if (progress) {
-      idle_streak = 0;
-    } else if (++idle_streak >= kIdleStreakThreshold) {
-      // Quiescent backoff; the fabric doorbell cuts the wait short when a
-      // remote write lands (§2.4's doorbell wake-up).
-      const int shift =
-          std::min(idle_streak - kIdleStreakThreshold, kIdleMaxShift);
-      const sim::Nanos backoff =
-          std::min(cfg_.idle_backoff_min << shift, cfg_.idle_backoff_max);
-      if (cfg_.doorbell != nullptr) {
-        co_await cfg_.doorbell->wait_for(backoff);
-      } else {
-        co_await engine_.sleep(backoff);
-      }
-    }
-  }
 }
 
 /// Grant `rounds` rounds of credit, capped so an idle-but-polled group
@@ -388,119 +311,127 @@ void Predicates::promote_all() {
   }
 }
 
-/// Deficit-weighted round-robin: the reactive discipline for many-subgroup
-/// nodes (the paper's Fig. 13 regime). Mechanics per round:
+/// The round's service order. Strict-RR sweeps every group in registration
+/// order. DRR — the discipline for many-subgroup nodes (the paper's Fig. 13
+/// regime) — orders the round in three steps:
 ///
 ///  1. every active group banks weight x quantum of credit (capped);
 ///  2. if *every* active group is in debt, the credit clock jumps forward
 ///     just enough to lift the least-indebted-per-weight group back to
 ///     zero — work conservation without collapsing to equal shares;
-///  3. groups are serviced in deficit order (recent-fire breaks ties);
-///     once some group has made progress, groups still in debt sit the
-///     round out — that is what enforces the weight ratio under load;
-///  4. service debits the compute+post CPU the group actually charged;
-///  5. a group quiet for kDrrDemoteAfter services *and* fire-free for
-///     kDrrDemoteQuiet is demoted onto the scan lane and probed once
-///     per `scan_interval` instead of every round; a fire at a probe or a
-///     rearm promotes it back.
+///  3. active groups are serviced in deficit order (recent-fire breaks
+///     ties), then the demoted groups whose scan-lane probe is due, then —
+///     after a doorbell wake from quiescence — a budgeted, rotating slice
+///     of courtesy probes over the rest of the scan lane.
+void Predicates::order_round(Round& r) {
+  r.order.clear();
+  if (cfg_.discipline == Discipline::strict_rr) {
+    for (std::size_t i = 0; i < groups_.size(); ++i) r.order.push_back(i);
+    r.ready = r.kick_start = r.order.size();
+    return;
+  }
+  const sim::Nanos now = engine_.now();
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    if (groups_[i].sched.demoted) continue;
+    credit_group(groups_[i], 1);
+    r.order.push_back(i);
+  }
+  r.ready = r.order.size();
+  const auto ready = [&r] { return std::span(r.order).first(r.ready); };
+  const bool any_credit = std::ranges::any_of(
+      ready(), [this](std::size_t i) { return groups_[i].sched.deficit >= 0; });
+  if (!any_credit && r.ready > 0) {
+    // Credit-clock jump (step 2): find the fewest whole rounds that lift
+    // some group out of debt and grant them to everyone at once. Pure
+    // bookkeeping — no virtual time passes, so the scheduler stays
+    // work-conserving while shares still converge to the weight ratio.
+    std::int64_t jump = std::numeric_limits<std::int64_t>::max();
+    for (std::size_t i : ready()) {
+      const Group& g = groups_[i];
+      const std::int64_t per_round =
+          static_cast<std::int64_t>(g.opts.weight) * kDrrQuantum;
+      jump = std::min(jump, (-g.sched.deficit + per_round - 1) / per_round);
+    }
+    for (std::size_t i : ready()) credit_group(groups_[i], jump);
+  }
+  std::ranges::stable_sort(ready(), [this](std::size_t a, std::size_t b) {
+    const GroupSched& sa = groups_[a].sched;
+    const GroupSched& sb = groups_[b].sched;
+    if (sa.deficit != sb.deficit) return sa.deficit > sb.deficit;
+    return sa.last_fire > sb.last_fire;
+  });
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    const GroupSched& sc = groups_[i].sched;
+    if (sc.demoted && now >= sc.next_scan) r.order.push_back(i);
+  }
+  // Courtesy probes are serviced only if the round turns out idle — a busy
+  // round means the ring was almost surely the hot groups' own traffic, and
+  // the due-probe lane above already carries the starvation bound.
+  r.kick_start = r.order.size();
+  if (!probe_kick_) return;
+  probe_kick_ = false;
+  std::size_t budget = kDrrKickBudget;
+  for (std::size_t step = 0; step < groups_.size() && budget > 0; ++step) {
+    const std::size_t i = (kick_cursor_ + step) % groups_.size();
+    const GroupSched& sc = groups_[i].sched;
+    if (!sc.demoted || now >= sc.next_scan) continue;
+    r.order.push_back(i);
+    if (--budget == 0) kick_cursor_ = i + 1;
+  }
+}
+
+/// The data-plane discipline: the dedicated polling thread of §2.4, with
+/// §3.4's lock staging and the doorbell-backed quiescent backoff. Busy
+/// groups charge their compute under the lock, release (early, when the
+/// group opts in), issue the merged PostPlan and sleep the post cost; quiet
+/// groups carry their eval cost forward to one sleep at the end of the
+/// round. order_round() picks who is serviced; under DRR each service is
+/// also accounted:
+///
+///  - once some group has made progress, groups still in debt sit the round
+///    out — that is what enforces the weight ratio under load;
+///  - service debits the compute+post CPU the group actually charged;
+///  - a group quiet for kDrrDemoteAfter services *and* fire-free for
+///    kDrrDemoteQuiet is demoted onto the scan lane and probed once per
+///    `scan_interval` instead of every round; a fire at a probe or a rearm
+///    promotes it back.
 ///
 /// The shared per-node doorbell cannot attribute a ring to a group, so
 /// under load the scan lane is the latency bound for a cold group's first
-/// message; from quiescence the doorbell wake courtesy-probes the whole
-/// scan lane on the next idle round.
-sim::Co<> Predicates::run_drr() {
+/// message; from quiescence the doorbell wake courtesy-probes the scan lane
+/// on the next idle round.
+sim::Co<> Predicates::run_reactive() {
+  const bool drr = cfg_.discipline == Discipline::drr;
   int idle_streak = 0;
   std::uint64_t rearm_seen = rearm_generation_;
-  std::vector<std::size_t> order;  // ready groups first, due probes after
+  Round round;
   while (!cfg_.stopped()) {
     if (cfg_.stall_until) {
       const sim::Nanos until = cfg_.stall_until();
       if (until > engine_.now()) {
+        // Slow host (fault injection): the polling thread is descheduled.
         co_await engine_.sleep(until - engine_.now());
         continue;
       }
     }
     if (rearm_generation_ != rearm_seen) {
+      // A rearm landed (view install): the doorbell kick already cut any
+      // in-flight backoff short; also drop the streak and the scan lane so
+      // the re-armed predicates get full-rate rounds again.
       rearm_seen = rearm_generation_;
       promote_all();
       idle_streak = 0;
     }
 
-    const sim::Nanos round_start = engine_.now();
-    order.clear();
-    std::size_t ready_count = 0;
-    for (std::size_t i = 0; i < groups_.size(); ++i) {
-      GroupSched& sc = groups_[i].sched;
-      if (sc.demoted) continue;
-      credit_group(groups_[i], 1);
-      order.push_back(i);
-      ++ready_count;
-    }
-    bool any_credit = false;
-    for (std::size_t k = 0; k < ready_count; ++k) {
-      if (groups_[order[k]].sched.deficit >= 0) {
-        any_credit = true;
-        break;
-      }
-    }
-    if (!any_credit && ready_count > 0) {
-      // Credit-clock jump (step 2): find the fewest whole rounds that lift
-      // some group out of debt and grant them to everyone at once. Pure
-      // bookkeeping — no virtual time passes, so the scheduler stays
-      // work-conserving while shares still converge to the weight ratio.
-      std::int64_t jump = std::numeric_limits<std::int64_t>::max();
-      for (std::size_t k = 0; k < ready_count; ++k) {
-        const Group& g = groups_[order[k]];
-        const std::int64_t per_round =
-            static_cast<std::int64_t>(g.opts.weight) * kDrrQuantum;
-        const std::int64_t need =
-            (-g.sched.deficit + per_round - 1) / per_round;
-        jump = std::min(jump, need);
-      }
-      for (std::size_t k = 0; k < ready_count; ++k) {
-        credit_group(groups_[order[k]], jump);
-      }
-    }
-    std::stable_sort(order.begin(), order.begin() + ready_count,
-                     [this](std::size_t a, std::size_t b) {
-                       const GroupSched& sa = groups_[a].sched;
-                       const GroupSched& sb = groups_[b].sched;
-                       if (sa.deficit != sb.deficit) {
-                         return sa.deficit > sb.deficit;
-                       }
-                       return sa.last_fire > sb.last_fire;
-                     });
-    for (std::size_t i = 0; i < groups_.size(); ++i) {
-      const GroupSched& sc = groups_[i].sched;
-      if (sc.demoted && round_start >= sc.next_scan) order.push_back(i);
-    }
-    // Courtesy probes (doorbell rang from quiescence): append a budgeted,
-    // rotating slice of the scan lane, serviced only if the round turns
-    // out idle — a busy round means the ring was almost surely the hot
-    // groups' own traffic, and the due-probe lane above already carries
-    // the starvation bound.
-    const std::size_t kick_start = order.size();
-    if (probe_kick_) {
-      probe_kick_ = false;
-      std::size_t budget = kDrrKickBudget;
-      for (std::size_t step = 0; step < groups_.size() && budget > 0;
-           ++step) {
-        const std::size_t i = (kick_cursor_ + step) % groups_.size();
-        const GroupSched& sc = groups_[i].sched;
-        if (!sc.demoted || round_start >= sc.next_scan) continue;
-        order.push_back(i);
-        if (--budget == 0) kick_cursor_ = i + 1;
-      }
-    }
-
+    order_round(round);
     bool progress = false;
     sim::Nanos carry = 0;  // eval cost of quiet groups, slept once per round
-    for (std::size_t k = 0; k < order.size(); ++k) {
+    for (std::size_t k = 0; k < round.order.size(); ++k) {
       if (cfg_.stopped()) break;
-      Group& g = groups_[order[k]];
+      if (k >= round.kick_start && progress) break;  // courtesy: idle only
+      Group& g = groups_[round.order[k]];
       GroupSched& sc = g.sched;
-      const bool probe = k >= ready_count;
-      if (k >= kick_start && progress) break;  // courtesy probes: idle only
+      const bool probe = k >= round.ready;
       if (!probe && sc.deficit < 0 && progress) continue;  // debtors sit out
       const ServiceReason reason = probe ? ServiceReason::scan
                                    : sc.deficit >= 0 ? ServiceReason::credit
@@ -509,34 +440,38 @@ sim::Co<> Predicates::run_drr() {
       plan_.clear();
       merge_released();
       sim::Nanos work = 0;
-      sim::Nanos charge = 0;  // weight-scaled debit (== work at weight 1)
+      sim::Nanos charge = 0;  // weight-scaled DRR debit (== work at weight 1)
       const bool acted = eval_group(g, work, charge, plan_);
       if (g.opts.on_work) g.opts.on_work(work);
-      ++sc.serviced;
+      if (drr) ++sc.serviced;
       if (!acted && plan_.empty()) {
         carry += work;
-        sc.deficit -= charge;
-        if (probe) {
-          sc.next_scan = engine_.now() + g.opts.scan_interval;
-        } else if (++sc.quiet_streak >= kDrrDemoteAfter &&
-                   g.opts.scan_interval > 0 &&
-                   engine_.now() - sc.last_fire >= kDrrDemoteQuiet) {
-          sc.demoted = true;
-          ++sc.demotions;
-          sc.next_scan = engine_.now() + g.opts.scan_interval;
+        if (drr) {
+          sc.deficit -= charge;
+          if (probe) {
+            sc.next_scan = engine_.now() + g.opts.scan_interval;
+          } else if (++sc.quiet_streak >= kDrrDemoteAfter &&
+                     g.opts.scan_interval > 0 &&
+                     engine_.now() - sc.last_fire >= kDrrDemoteQuiet) {
+            sc.demoted = true;
+            ++sc.demotions;
+            sc.next_scan = engine_.now() + g.opts.scan_interval;
+          }
+          if (cfg_.on_service) cfg_.on_service(g.opts, reason, sc.deficit);
         }
-        if (cfg_.on_service) cfg_.on_service(g.opts, reason, sc.deficit);
         if (g.opts.lock) g.opts.lock->unlock();
         continue;
       }
       progress = true;
-      sc.quiet_streak = 0;
-      sc.last_fire = engine_.now();
-      if (probe) {
-        // A probe that fired: the group is hot again — promote it with a
-        // clean balance.
-        sc.demoted = false;
-        if (sc.deficit < 0) sc.deficit = 0;
+      if (drr) {
+        sc.quiet_streak = 0;
+        sc.last_fire = engine_.now();
+        if (probe) {
+          // A probe that fired: the group is hot again — promote it with a
+          // clean balance.
+          sc.demoted = false;
+          if (sc.deficit < 0) sc.deficit = 0;
+        }
       }
       if (g.opts.on_fire) g.opts.on_fire(work);
       co_await engine_.sleep(work + carry);
@@ -549,8 +484,10 @@ sim::Co<> Predicates::run_drr() {
         co_await engine_.sleep(post);
       }
       if (g.opts.lock && !g.opts.early_release) g.opts.lock->unlock();
-      sc.deficit -= charge + post;
-      if (cfg_.on_service) cfg_.on_service(g.opts, reason, sc.deficit);
+      if (drr) {
+        sc.deficit -= charge + post;
+        if (cfg_.on_service) cfg_.on_service(g.opts, reason, sc.deficit);
+      }
     }
     if (cfg_.stopped()) break;
 
@@ -563,6 +500,8 @@ sim::Co<> Predicates::run_drr() {
     if (progress) {
       idle_streak = 0;
     } else if (++idle_streak >= kIdleStreakThreshold) {
+      // Quiescent backoff; the fabric doorbell cuts the wait short when a
+      // remote write lands (§2.4's doorbell wake-up).
       const int shift =
           std::min(idle_streak - kIdleStreakThreshold, kIdleMaxShift);
       sim::Nanos backoff =
@@ -577,13 +516,13 @@ sim::Co<> Predicates::run_drr() {
         backoff = std::min(backoff, gap);
       }
       if (cfg_.doorbell != nullptr) {
-        if (co_await cfg_.doorbell->wait_for(backoff)) {
+        if (co_await cfg_.doorbell->wait_for(backoff) && drr) {
           // Ring from quiescence: remote state moved somewhere — possibly
           // in a demoted group's rows. The doorbell cannot say which group,
-          // so courtesy-probe the whole scan lane next round; a probe that
-          // fires promotes its group, the rest stay demoted at one eval
-          // each (promoting wholesale would force every cold group through
-          // a fresh quiet streak per wake).
+          // so courtesy-probe the scan lane next round; a probe that fires
+          // promotes its group, the rest stay demoted at one eval each
+          // (promoting wholesale would force every cold group through a
+          // fresh quiet streak per wake).
           probe_kick_ = true;
         }
       } else {

@@ -24,11 +24,13 @@ enum class PredicateClass : std::uint8_t { one_time, recurrent, transition };
 
 const char* to_string(PredicateClass c);
 
-/// Service discipline of the reactive scheduler (paced mode ignores this):
+/// Service discipline of the reactive scheduler (paced mode ignores this).
+/// Both run the same loop; the discipline picks each round's service order
+/// and whether a service is accounted:
 ///
-///  - `strict_rr`: every round sweeps all groups in registration order — the
-///    original discipline, kept bit-identical as the default so existing
-///    golden digests hold.
+///  - `strict_rr`: every round sweeps all groups in registration order, the
+///    paper's single polling thread (§2.4). Nothing is accounted:
+///    group_sched() stays zero and `on_service` never fires.
 ///  - `drr`:       deficit-weighted round-robin. Each group accrues credit
 ///    (weight x quantum per round) and is debited the compute+post CPU its
 ///    triggers charge; service order follows deficit and recent-fire
@@ -125,13 +127,13 @@ struct PredicateStats {
 ///
 /// Predicates are registered into *groups*; a group is the unit of one lock
 /// acquisition and one two-phase (compute, then RDMA) round. The scheduler
-/// coroutine evaluates groups round-robin. Two pacing disciplines:
+/// coroutine evaluates groups round-robin. Two pacing modes:
 ///
 ///  - reactive (the data-plane polling thread): busy rounds charge their
 ///    compute cost under the lock, release (early, per §3.4, when the group
 ///    opts in), issue the merged PostPlan, and sleep the post cost; quiet
 ///    rounds carry their eval cost forward and back off onto the fabric
-///    doorbell after an idle streak.
+///    doorbell after an idle streak. The `Discipline` orders each round.
 ///  - paced (`SchedulerConfig::pace` set — the membership service): every
 ///    round evaluates all groups, issues all plans at the same virtual
 ///    instant, and sleeps pace(post) — e.g. post + heartbeat_period + jitter.
@@ -192,8 +194,7 @@ class Predicates {
   struct SchedulerConfig {
     std::function<bool()> stopped;            // required
     std::function<sim::Nanos()> stall_until;  // fault injection: slow host
-    /// Reactive service discipline; `strict_rr` keeps the original sweep
-    /// bit-identical (existing golden digests depend on it).
+    /// Reactive service discipline (see `Discipline`).
     Discipline discipline = Discipline::strict_rr;
     /// Observability: the DRR scheduler serviced a group (the
     /// `sched_service` trace span); `deficit` is the post-debit balance.
@@ -271,8 +272,6 @@ class Predicates {
     sim::Nanos last_fire = 0;    // most recent acting service (ready order)
   };
 
-  std::size_t num_groups() const noexcept { return groups_.size(); }
-  std::size_t num_predicates() const noexcept { return preds_.size(); }
   const PredicateStats& stats(PredId p) const { return preds_[p].stats; }
   const GroupSched& group_sched(GroupId g) const { return groups_[g].sched; }
 
@@ -329,11 +328,19 @@ class Predicates {
   /// This round's spurious-wake burn; > 0 also means "stay hot" (the
   /// schedulers suppress idle backoff for the round).
   sim::Nanos spurious_burn();
+  /// A reactive round's service order: `order[0, ready)` are serviced on
+  /// their own account, the rest are scan-lane probes, of which those from
+  /// `kick_start` on are courtesy probes serviced only if the round idles.
+  struct Round {
+    std::vector<std::size_t> order;
+    std::size_t ready = 0;
+    std::size_t kick_start = 0;
+  };
+  void order_round(Round& r);
   void credit_group(Group& g, std::int64_t rounds);
   void promote_all();
   void kick();
   sim::Co<> run_reactive();
-  sim::Co<> run_drr();
   sim::Co<> run_paced();
 
   sim::Engine& engine_;

@@ -5,6 +5,7 @@
 #include "dds/client_mux.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/registry.hpp"
+#include "workload/run_cost.hpp"
 
 namespace spindle::workload {
 
@@ -56,7 +57,6 @@ struct SwarmResult {
   /// backlog needed) — saturates at pipeline capacity under overload, where
   /// ok/duration would credit the drain to the window.
   double goodput_rps = 0;
-  sim::Nanos span_ns = 0;    // window start -> last request resolved
   /// RTT of ok replies (admission wait included — that is what an external
   /// client observes).
   metrics::Histogram latency_ns;
@@ -67,8 +67,9 @@ struct SwarmResult {
   /// occupancy counters.
   metrics::ClusterStats stats;
   std::uint64_t shed = 0;    // sum of requests_shed over the relays
-  std::uint64_t engine_steps = 0;
-  double wall_seconds = 0;
+  /// Simulator cost; cost.makespan spans window start -> last request
+  /// resolved.
+  RunCost cost;
 };
 
 /// Build the domain, connect the sessions, run the arrival window plus the

@@ -1,7 +1,6 @@
 #include "workload/experiment.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -62,7 +61,7 @@ sim::Co<> sender_actor(core::Cluster* cluster, net::NodeId id,
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-  const auto wall_start = std::chrono::steady_clock::now();
+  const auto setup_start = WallClock::now();
   core::ClusterConfig cc;
   cc.nodes = cfg.nodes;
   cc.timing = cfg.timing;
@@ -94,6 +93,9 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     sgs.push_back(cluster.create_subgroup(sc));
   }
   cluster.start();
+  ExperimentResult res;
+  res.cost.setup_seconds = seconds_since(setup_start);
+  const auto run_start = WallClock::now();
 
   // Tracked deliveries: messages from senders that will actually finish.
   // Delayed-forever senders send nothing; finitely-delayed senders send but
@@ -134,7 +136,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     metrics::Histogram continuous;
   };
   std::vector<NodeLatency> latency_per_node(cfg.nodes);
-  ExperimentResult res;
   for (std::size_t g = 0; g < cfg.active_subgroups && g < cfg.subgroups;
        ++g) {
     const core::SubgroupId sg = sgs[g];
@@ -176,10 +177,10 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // the next lookahead barrier. Delivery streams are byte-identical across
   // modes, so this timestamp — and every throughput/latency figure derived
   // from it — is worker-count-invariant where cluster.now() is not.
-  res.makespan = 0;
-  for (sim::Nanos t : last_tracked_at) res.makespan = std::max(res.makespan, t);
-  if (!res.completed || res.makespan == 0) res.makespan = cluster.now();
-  res.sim_workers = cluster.sim_workers();
+  sim::Nanos& makespan = res.cost.makespan;
+  for (sim::Nanos t : last_tracked_at) makespan = std::max(makespan, t);
+  if (!res.completed || makespan == 0) makespan = cluster.now();
+  res.cost.sim_workers = cluster.sim_workers();
   for (const NodeLatency& nl : latency_per_node) {
     res.delayed_sender_latency_ns.merge(nl.delayed);
     res.continuous_sender_latency_ns.merge(nl.continuous);
@@ -187,7 +188,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   res.stats = cluster.stats();
   const metrics::ProtocolCounters& totals = res.stats.total;
-  const double secs = sim::to_seconds(res.makespan);
+  const double secs = sim::to_seconds(makespan);
   if (secs > 0) {
     res.throughput_gbps = static_cast<double>(totals.bytes_delivered) /
                           static_cast<double>(cfg.nodes) / secs / 1e9;
@@ -228,11 +229,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   }
 
   cluster.shutdown();
-  res.engine_steps = cluster.steps();
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  res.cost.engine_steps = cluster.steps();
+  res.cost.run_seconds = seconds_since(run_start);
   return res;
 }
 
@@ -245,10 +243,13 @@ Averaged run_averaged(ExperimentConfig cfg, int runs) {
   for (ExperimentResult& r : results) {
     tp.add(r.throughput_gbps);
     lat.add(r.median_latency_us);
-    avg.engine_steps += r.engine_steps;
-    avg.wall_seconds += r.wall_seconds;
+    avg.cost.engine_steps += r.cost.engine_steps;
+    avg.cost.setup_seconds += r.cost.setup_seconds;
+    avg.cost.run_seconds += r.cost.run_seconds;
     avg.last = std::move(r);
   }
+  avg.cost.sim_workers = avg.last.cost.sim_workers;
+  avg.cost.makespan = avg.last.cost.makespan;
   avg.mean_gbps = tp.mean();
   avg.stddev_gbps = tp.stddev();
   avg.mean_median_latency_us = lat.mean();

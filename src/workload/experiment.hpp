@@ -9,6 +9,7 @@
 #include "metrics/metrics.hpp"
 #include "metrics/registry.hpp"
 #include "trace/trace.hpp"
+#include "workload/run_cost.hpp"
 
 namespace spindle::workload {
 
@@ -68,7 +69,9 @@ struct ExperimentConfig {
 
 struct ExperimentResult {
   bool completed = false;
-  sim::Nanos makespan = 0;
+  /// Simulator cost; cost.makespan is the last tracked delivery, the span
+  /// every throughput and rate figure below is computed over.
+  RunCost cost;
   /// Paper throughput metric: application data delivered per unit time,
   /// GB/s averaged over all nodes.
   double throughput_gbps = 0;
@@ -84,13 +87,6 @@ struct ExperimentResult {
   /// Fraction of predicate-thread CPU spent in active subgroups (§4.1.3).
   double active_predicate_fraction = 0;
   std::uint64_t expected_deliveries = 0;
-  /// Simulator cost of the run: events dispatched and real (wall-clock)
-  /// time spent inside run_experiment — the perf-trajectory numbers the
-  /// BENCH_*.json baselines track.
-  std::uint64_t engine_steps = 0;
-  double wall_seconds = 0;
-  /// Worker threads the run actually used (1 = serial engine).
-  std::size_t sim_workers = 1;
   /// Delivery latency split by sender class (§4.2.1: messages from delayed
   /// senders vs continuous senders).
   metrics::Histogram delayed_sender_latency_ns;
@@ -109,8 +105,9 @@ struct Averaged {
   double mean_gbps = 0;
   double stddev_gbps = 0;
   double mean_median_latency_us = 0;
-  std::uint64_t engine_steps = 0;  // summed over the runs
-  double wall_seconds = 0;         // summed over the runs
+  /// Steps and wall time summed over the runs; sim_workers and makespan
+  /// are the last run's.
+  RunCost cost;
   ExperimentResult last;
 };
 Averaged run_averaged(ExperimentConfig cfg, int runs = 3);

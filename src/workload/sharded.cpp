@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -165,7 +164,7 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
         "run_sharded: the plain (use_domain = false) arm models exactly one "
         "subgroup");
   }
-  const auto wall_start = std::chrono::steady_clock::now();
+  const auto setup_start = WallClock::now();
   core::ClusterConfig cc;
   cc.nodes = cfg.nodes;
   cc.timing = cfg.timing;
@@ -200,6 +199,9 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
     plain_sg = cluster.create_subgroup(std::move(sc));
   }
   cluster.start();
+  ShardedResult res;
+  res.cost.setup_seconds = seconds_since(setup_start);
+  const auto run_start = WallClock::now();
 
   const std::uint64_t sends =
       static_cast<std::uint64_t>(cfg.nodes) * cfg.messages_per_sender;
@@ -235,7 +237,6 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
     }
   }
 
-  ShardedResult res;
   res.expected_deliveries = expected;
 
   // Partition each sender's schedule into per-shard single streams plus a
@@ -282,11 +283,9 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
   // Makespan keys on the last merged upcall (worker-count-invariant), not
   // on where the driver happened to halt — same convention as
   // run_experiment.
-  res.makespan = 0;
-  for (const NodeSlot& s : slots) {
-    res.makespan = std::max(res.makespan, s.last_at);
-  }
-  if (!res.completed || res.makespan == 0) res.makespan = cluster.now();
+  sim::Nanos& makespan = res.cost.makespan;
+  for (const NodeSlot& s : slots) makespan = std::max(makespan, s.last_at);
+  if (!res.completed || makespan == 0) makespan = cluster.now();
 
   std::uint64_t digest = kFnvOffset;
   for (net::NodeId m : all) {
@@ -299,10 +298,10 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
   res.shard_projection_digests = slots[0].proj;
   if (dom) res.grant_latency_ns = dom->grant_latency();
   res.grants_issued = dom ? dom->grants_issued() : 0;
-  res.sim_workers = cluster.sim_workers();
+  res.cost.sim_workers = cluster.sim_workers();
   res.stats = cluster.stats();
 
-  const double secs = sim::to_seconds(res.makespan);
+  const double secs = sim::to_seconds(makespan);
   if (secs > 0) {
     res.throughput_gbps = static_cast<double>(sends) * cfg.message_size /
                           secs / 1e9;
@@ -310,11 +309,8 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
   }
 
   cluster.shutdown();
-  res.engine_steps = cluster.steps();
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  res.cost.engine_steps = cluster.steps();
+  res.cost.run_seconds = seconds_since(run_start);
   return res;
 }
 

@@ -46,7 +46,8 @@ struct ShardedConfig {
 
 struct ShardedResult {
   bool completed = false;
-  sim::Nanos makespan = 0;
+  /// Simulator cost; cost.makespan is the last merged upcall.
+  RunCost cost;
   /// Merged-stream application throughput per node: every node upcalls each
   /// sent payload exactly once, so this is sends * message_size / makespan —
   /// cross-shard duplicate copies and headers are protocol overhead and do
@@ -81,9 +82,6 @@ struct ShardedResult {
   /// Sequencer grant round trips (lock wait excluded), merged over senders.
   metrics::Histogram grant_latency_ns;
   metrics::ClusterStats stats;
-  std::uint64_t engine_steps = 0;
-  double wall_seconds = 0;
-  std::size_t sim_workers = 1;
 };
 
 /// Deterministic per-message schedule decision, shared with shard_test:

@@ -213,7 +213,7 @@ TEST(Multicast, DeterministicForSameSeed) {
   auto a = workload::run_experiment(cfg);
   auto b = workload::run_experiment(cfg);
   ASSERT_TRUE(a.completed);
-  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.cost.makespan, b.cost.makespan);
   EXPECT_EQ(a.stats.total.rdma_writes_posted, b.stats.total.rdma_writes_posted);
   EXPECT_EQ(a.stats.total.nulls_sent, b.stats.total.nulls_sent);
 }

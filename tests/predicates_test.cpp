@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -231,6 +232,69 @@ TEST(Predicates, ReactiveEarlyReleaseUnlocksBeforePost) {
   EXPECT_FALSE(locked_during_post) << "§3.4: post must run after unlock";
   stop = true;
   engine.run();
+}
+
+TEST(Predicates, StrictRrServicesEveryGroupInRegistrationOrder) {
+  // Three busy groups with DRR-style weights 1/4/1, scan lanes and unequal
+  // per-fire compute. Strict-RR ignores all of it: every round services
+  // each group once, in registration order, and accounts nothing.
+  sim::Engine engine;
+  Predicates preds{engine};
+  bool stop = false;
+  int services = 0;
+  Predicates::SchedulerConfig cfg;
+  cfg.stopped = [&] { return stop; };
+  cfg.iteration_pause = [] { return sim::Nanos{100}; };
+  cfg.idle_backoff_min = 1000;
+  cfg.idle_backoff_max = 8000;
+  cfg.on_service = [&](const Predicates::GroupOptions&, ServiceReason,
+                       std::int64_t) { ++services; };
+  preds.configure(std::move(cfg));
+
+  constexpr int kRounds = 20;
+  const std::uint32_t weights[] = {1, 4, 1};
+  const sim::Nanos compute[] = {50, 2000, 5};
+  std::vector<int> order;
+  std::vector<int> budget(3, kRounds);
+  std::vector<Predicates::GroupId> groups;
+  std::vector<Predicates::PredId> preds_of;
+  for (int i = 0; i < 3; ++i) {
+    Predicates::GroupOptions opts;
+    opts.name = "g" + std::to_string(i);
+    opts.weight = weights[i];
+    opts.scan_interval = sim::micros(5);
+    groups.push_back(preds.add_group(std::move(opts)));
+    preds_of.push_back(preds.add(
+        groups.back(),
+        {"busy", PredicateClass::recurrent,
+         [&budget, i] { return budget[i] > 0; },
+         [&, i](TriggerContext& ctx) {
+           --budget[i];
+           order.push_back(i);
+           ctx.work += compute[i];
+           return true;
+         }}));
+  }
+  engine.spawn(preds.run());
+  engine.run_to(sim::millis(1));
+  stop = true;
+  engine.run();
+
+  std::vector<int> expected;
+  for (int r = 0; r < kRounds; ++r) expected.insert(expected.end(), {0, 1, 2});
+  EXPECT_EQ(order, expected);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(preds.stats(preds_of[i]).evals, preds.stats(preds_of[0]).evals);
+    const Predicates::GroupSched& sc = preds.group_sched(groups[i]);
+    EXPECT_EQ(sc.deficit, 0);
+    EXPECT_EQ(sc.serviced, 0u);
+    EXPECT_EQ(sc.demotions, 0u);
+    EXPECT_FALSE(sc.demoted);
+    EXPECT_EQ(sc.next_scan, 0);
+    EXPECT_EQ(sc.quiet_streak, 0);
+    EXPECT_EQ(sc.last_fire, 0);
+  }
+  EXPECT_EQ(services, 0);
 }
 
 TEST(Predicates, PacedModeEvaluatesOnACadence) {

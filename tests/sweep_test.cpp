@@ -1,8 +1,9 @@
 // Seed-parallel sweep determinism: running the same configs on a thread
 // pool must produce results identical to running them serially — per-seed
 // determinism is untouched because each job owns its entire engine. Every
-// deterministic field of ExperimentResult is compared (wall_seconds is the
-// one inherently nondeterministic field and is excluded).
+// deterministic field of ExperimentResult is compared (the wall-clock
+// setup_seconds and run_seconds are inherently nondeterministic and are
+// excluded).
 
 #include <gtest/gtest.h>
 
@@ -33,8 +34,8 @@ ExperimentConfig small_config() {
 
 void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.engine_steps, b.engine_steps);
+  EXPECT_EQ(a.cost.makespan, b.cost.makespan);
+  EXPECT_EQ(a.cost.engine_steps, b.cost.engine_steps);
   EXPECT_EQ(a.expected_deliveries, b.expected_deliveries);
   EXPECT_EQ(a.throughput_gbps, b.throughput_gbps);  // bitwise, not approx
   EXPECT_EQ(a.delivery_rate_per_node, b.delivery_rate_per_node);
@@ -75,7 +76,7 @@ TEST(ParallelSweep, MatchesSerialExecutionPerSeed) {
   }
 
   // Different seeds really are different runs (the sweep isn't degenerate).
-  EXPECT_NE(s[0].makespan, s[1].makespan);
+  EXPECT_NE(s[0].cost.makespan, s[1].cost.makespan);
 }
 
 TEST(ParallelSweep, ResultsAreInJobOrderRegardlessOfThreads) {

@@ -71,7 +71,7 @@ TEST(Trace, EnablingTracingDoesNotPerturbVirtualTime) {
   const auto r_on = workload::run_experiment(on);
   ASSERT_TRUE(r_off.completed);
   ASSERT_TRUE(r_on.completed);
-  EXPECT_EQ(r_off.makespan, r_on.makespan);
+  EXPECT_EQ(r_off.cost.makespan, r_on.cost.makespan);
   EXPECT_EQ(r_off.stats.total.rdma_writes_posted,
             r_on.stats.total.rdma_writes_posted);
   EXPECT_GT(r_on.trace_events, 0u);
