@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "workload/experiment.hpp"
-#include "workload/run_cost.hpp"
+#include "workload/run.hpp"
 #include "workload/table.hpp"
 
 extern "C" char** environ;  // POSIX: not declared by any header

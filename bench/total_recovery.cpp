@@ -12,7 +12,7 @@
 
 #include "bench_util.hpp"
 #include "workload/table.hpp"
-#include "workload/total_recovery.hpp"
+#include "workload/recovery.hpp"
 
 namespace {
 

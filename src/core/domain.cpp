@@ -71,6 +71,19 @@ struct OrderingDomain::MergeState {
   DomainHandler handler;
 };
 
+DomainDelivery single_shard_delivery(const Delivery& d, std::size_t shard) {
+  DomainDelivery dd;
+  dd.shard = shard;
+  dd.shard_mask = 1u << shard;
+  dd.sender = d.sender;
+  dd.seq = d.seq;
+  dd.sender_index = d.sender_index;
+  dd.data = d.data;
+  dd.sent_at = d.sent_at;
+  dd.flags = d.flags;
+  return dd;
+}
+
 OrderingDomain::OrderingDomain(Cluster& cluster, DomainConfig cfg)
     : cluster_(cluster), cfg_(std::move(cfg)) {
   if (cfg_.shards == 0 || cfg_.shards > 32) {
@@ -343,17 +356,7 @@ void OrderingDomain::attach(net::NodeId member, DomainHandler h) {
     // to driving the subgroup directly (shard_test pins this against the
     // determinism-lock goldens).
     n.set_delivery_handler(shard_sgs_[0], [this, m](const Delivery& d) {
-      DomainDelivery dd;
-      dd.shard = 0;
-      dd.shard_mask = 1u;
-      dd.sender = d.sender;
-      dd.seq = d.seq;
-      dd.sender_index = d.sender_index;
-      dd.cross = false;
-      dd.data = d.data;
-      dd.sent_at = d.sent_at;
-      dd.flags = d.flags;
-      upcall(*m, dd);
+      upcall(*m, single_shard_delivery(d, 0));
     });
     return;
   }
@@ -395,17 +398,7 @@ void OrderingDomain::on_shard_delivery(MergeState& m, std::size_t shard,
   if (m.queues[shard].empty()) {
     // Fast path: nothing ordered ahead in this shard — upcall in place,
     // zero-copy (the common case when crosses are rare).
-    DomainDelivery dd;
-    dd.shard = shard;
-    dd.shard_mask = 1u << shard;
-    dd.sender = d.sender;
-    dd.seq = d.seq;
-    dd.sender_index = d.sender_index;
-    dd.cross = false;
-    dd.data = d.data;
-    dd.sent_at = d.sent_at;
-    dd.flags = d.flags;
-    upcall(m, dd);
+    upcall(m, single_shard_delivery(d, shard));
     return;
   }
   MergeState::Queued q;

@@ -85,6 +85,9 @@ struct DomainDelivery {
   std::uint32_t flags = 0;      // application bits (kCrossShardFlag stripped)
 };
 
+/// The merged-stream view of `d`, a single-shard delivery on `shard`.
+DomainDelivery single_shard_delivery(const Delivery& d, std::size_t shard);
+
 using DomainHandler = std::function<void(const DomainDelivery&)>;
 
 /// An explicit "one totally-ordered domain" over a Cluster: the topic/key

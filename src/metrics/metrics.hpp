@@ -54,32 +54,6 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
-/// Simple accumulating summary for real-valued series.
-class Summary {
- public:
-  void add(double v) {
-    ++count_;
-    sum_ += v;
-    if (v < min_) min_ = v;
-    if (v > max_) max_ = v;
-  }
-  std::uint64_t count() const noexcept { return count_; }
-  double sum() const noexcept { return sum_; }
-  /// Empty summaries report 0 (matching Histogram::min()/max()), never the
-  /// +-infinity sentinels used internally.
-  double min() const noexcept { return count_ ? min_ : 0; }
-  double max() const noexcept { return count_ ? max_ : 0; }
-  double mean() const {
-    return count_ ? sum_ / static_cast<double>(count_) : 0;
-  }
-
- private:
-  std::uint64_t count_ = 0;
-  double sum_ = 0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
 /// Mean and standard deviation over repeated runs (the paper runs each test
 /// 5 times and plots mean with one-standard-deviation error bars).
 struct RunStats {

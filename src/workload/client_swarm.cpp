@@ -55,8 +55,9 @@ sim::Co<> one_request(SwarmCtx* c, dds::Session* s) {
 }
 
 /// Next inter-arrival gap for one relay's generator. `now` is relative to
-/// the start of the arrival window. Returns a negative gap to mean "no
-/// arrival this step" (diurnal thinning rejections re-enter the loop).
+/// the start of the arrival window. `arrival` is set false when the step
+/// ends without a request: the bursty shape's jump over its idle phase, or
+/// a diurnal thinning rejection. The gap is always positive.
 sim::Nanos next_gap(const SwarmConfig& cfg, sim::Rng& rng, sim::Nanos now,
                     bool& arrival) {
   arrival = true;
@@ -121,8 +122,8 @@ sim::Co<> arrival_actor(SwarmCtx* c, std::vector<dds::Session*> sessions,
 }  // namespace
 
 SwarmResult run_client_swarm(const SwarmConfig& cfg) {
-  const auto setup_start = WallClock::now();
   SwarmResult res;
+  RunClock clock(res.cost);
 
   core::ClusterConfig cc;
   cc.nodes = cfg.core_nodes + cfg.relays;  // gateways live after the members
@@ -157,8 +158,7 @@ SwarmResult run_client_swarm(const SwarmConfig& cfg) {
         static_cast<net::NodeId>(r), mc));
   }
   domain.start();
-  res.cost.setup_seconds = seconds_since(setup_start);
-  const auto run_start = WallClock::now();
+  clock.started();
 
   SwarmCtx ctx;
   ctx.cfg = &cfg;
@@ -196,8 +196,9 @@ SwarmResult run_client_swarm(const SwarmConfig& cfg) {
   res.p999_us = static_cast<double>(res.latency_ns.percentile(99.9)) / 1e3;
   res.stats = domain.cluster().stats();
   for (const auto& relay : res.stats.relays) res.shed += relay.requests_shed;
-  res.cost.engine_steps = domain.engine().steps();
-  res.cost.run_seconds = seconds_since(run_start);
+  // Steps are read before the domain's destructor drains the cluster: the
+  // swarm's run ends with the last resolved request.
+  clock.finish(domain.engine().steps());
   return res;
 }
 

@@ -5,7 +5,7 @@
 #include "dds/client_mux.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/registry.hpp"
-#include "workload/run_cost.hpp"
+#include "workload/run.hpp"
 
 namespace spindle::workload {
 

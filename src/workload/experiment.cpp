@@ -1,9 +1,8 @@
 #include "workload/experiment.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 
 #include "trace/export.hpp"
 #include "workload/sweep.hpp"
@@ -30,14 +29,6 @@ double bench_scale() {
   return 1.0;
 }
 
-std::size_t sim_threads_from_env() {
-  if (const char* env = std::getenv("SPINDLE_SIM_THREADS")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return 1;
-}
-
 namespace {
 
 /// Application sender thread: streams `count` messages into one subgroup,
@@ -48,12 +39,7 @@ sim::Co<> sender_actor(core::Cluster* cluster, net::NodeId id,
   core::Node& node = cluster->node(id);
   for (std::size_t i = 0; i < count; ++i) {
     if (node.stopped()) co_return;
-    co_await node.send(sg, size, [i](std::span<std::byte> buf) {
-      if (buf.size() >= sizeof(std::uint64_t)) {
-        const std::uint64_t tag = i;
-        std::memcpy(buf.data(), &tag, sizeof tag);
-      }
-    });
+    co_await node.send(sg, size, tag_payload(i));
     if (delay > 0) co_await cluster->engine_for(id).sleep(delay);
   }
 }
@@ -61,23 +47,23 @@ sim::Co<> sender_actor(core::Cluster* cluster, net::NodeId id,
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-  const auto setup_start = WallClock::now();
-  core::ClusterConfig cc;
-  cc.nodes = cfg.nodes;
+  if (cfg.active_subgroups > cfg.subgroups) {
+    throw std::invalid_argument(
+        "run_experiment: active_subgroups exceeds subgroups");
+  }
+  ExperimentResult res;
+  core::ClusterConfig cc =
+      cluster_config(cfg.nodes, cfg.seed, cfg.sim_threads);
   cc.timing = cfg.timing;
   cc.cpu = cfg.cpu;
-  cc.seed = cfg.seed;
   cc.trace = cfg.trace;
   cc.discipline = cfg.discipline;
   cc.scan_interval = cfg.scan_interval;
-  cc.sim_threads = cfg.sim_threads > 0 ? cfg.sim_threads : sim_threads_from_env();
   if (!cfg.trace_out.empty()) cc.trace.enabled = true;
-  core::Cluster cluster(cc);
+  ClusterRun run(cc, res.cost);
+  core::Cluster& cluster = run.cluster();
+  const std::vector<net::NodeId>& all = run.nodes();
 
-  std::vector<net::NodeId> all(cfg.nodes);
-  for (std::size_t i = 0; i < cfg.nodes; ++i) {
-    all[i] = static_cast<net::NodeId>(i);
-  }
   const std::size_t n_senders = sender_count(cfg.senders, cfg.nodes);
   std::vector<net::NodeId> senders(all.begin(),
                                    all.begin() + static_cast<long>(n_senders));
@@ -92,10 +78,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     sc.weight = g < cfg.active_subgroups ? cfg.active_weight : 1;
     sgs.push_back(cluster.create_subgroup(sc));
   }
-  cluster.start();
-  ExperimentResult res;
-  res.cost.setup_seconds = seconds_since(setup_start);
-  const auto run_start = WallClock::now();
+  run.start();
 
   // Tracked deliveries: messages from senders that will actually finish.
   // Delayed-forever senders send nothing; finitely-delayed senders send but
@@ -110,7 +93,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       tracked_per_subgroup * cfg.active_subgroups * cfg.nodes;
 
   // Spawn sender threads for active subgroups.
-  for (std::size_t g = 0; g < cfg.active_subgroups && g < cfg.subgroups; ++g) {
+  for (std::size_t g = 0; g < cfg.active_subgroups; ++g) {
     for (std::size_t s = 0; s < n_senders; ++s) {
       const bool delayed = s < cfg.delayed_senders;
       if (delayed && cfg.delayed_forever) continue;
@@ -122,65 +105,34 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   // Count only deliveries of messages from tracked (non-delayed) senders.
   // Delayed senders' messages still flow and count toward bytes/latency,
-  // but completion keys on the continuous senders.
-  //
-  // Parallel-safe accounting: each node's delivery handler runs on the
-  // worker that owns the node, so counts and latency samples go into
-  // per-node slots (written by exactly one thread). The stop condition sums
-  // the slots — it only runs at a lookahead barrier (or on the single
-  // serial thread), where every worker's writes are visible.
-  std::vector<std::uint64_t> tracked_per_node(cfg.nodes, 0);
-  std::vector<sim::Nanos> last_tracked_at(cfg.nodes, 0);
+  // but completion keys on the continuous senders. Latency samples go into
+  // per-node slots, written only by the node's own worker like its
+  // completion slot.
   struct NodeLatency {
     metrics::Histogram delayed;
     metrics::Histogram continuous;
   };
   std::vector<NodeLatency> latency_per_node(cfg.nodes);
-  for (std::size_t g = 0; g < cfg.active_subgroups && g < cfg.subgroups;
-       ++g) {
+  for (std::size_t g = 0; g < cfg.active_subgroups; ++g) {
     const core::SubgroupId sg = sgs[g];
     for (net::NodeId m : all) {
-      sim::Engine& eng = cluster.engine_for(m);
-      std::uint64_t& tracked = tracked_per_node[m];
-      sim::Nanos& last_at = last_tracked_at[m];
+      ClusterRun::Completion& done = run.completion(m);
       NodeLatency& lat_slot = latency_per_node[m];
       cluster.node(m).set_delivery_handler(
-          sg, [&tracked, &last_at, &lat_slot, &eng, &cfg](
-                  const core::Delivery& d) {
-            if (d.sender >= cfg.delayed_senders) {
-              ++tracked;
-              last_at = eng.now();
-            }
+          sg, [&done, &lat_slot, &cfg](const core::Delivery& d) {
+            const bool tracked = d.sender >= cfg.delayed_senders;
+            const sim::Nanos now =
+                tracked ? done.record() : done.engine->now();
             if (d.sent_at >= 0) {
-              const auto lat =
-                  static_cast<std::uint64_t>(eng.now() - d.sent_at);
-              if (d.sender < cfg.delayed_senders) {
-                lat_slot.delayed.add(lat);
-              } else {
-                lat_slot.continuous.add(lat);
-              }
+              const auto lat = static_cast<std::uint64_t>(now - d.sent_at);
+              (tracked ? lat_slot.continuous : lat_slot.delayed).add(lat);
             }
           });
     }
   }
   res.expected_deliveries = expected;
-  res.completed = cluster.run_until(
-      [&] {
-        std::uint64_t total = 0;
-        for (std::uint64_t n : tracked_per_node) total += n;
-        return total >= expected;
-      },
-      cfg.max_virtual);
-  // Makespan is the virtual time of the last *tracked* delivery, not the
-  // time the driver happened to halt: the serial engine stops mid-event the
-  // moment the condition holds, while the parallel engine only re-checks at
-  // the next lookahead barrier. Delivery streams are byte-identical across
-  // modes, so this timestamp — and every throughput/latency figure derived
-  // from it — is worker-count-invariant where cluster.now() is not.
-  sim::Nanos& makespan = res.cost.makespan;
-  for (sim::Nanos t : last_tracked_at) makespan = std::max(makespan, t);
-  if (!res.completed || makespan == 0) makespan = cluster.now();
-  res.cost.sim_workers = cluster.sim_workers();
+  res.completed = run.run_until_complete(expected, cfg.max_virtual);
+  const sim::Nanos makespan = res.cost.makespan;
   for (const NodeLatency& nl : latency_per_node) {
     res.delayed_sender_latency_ns.merge(nl.delayed);
     res.continuous_sender_latency_ns.merge(nl.continuous);
@@ -217,8 +169,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   sim::Nanos active_cpu = 0;
   sim::Nanos total_cpu = totals.predicate_cpu;
-  for (std::size_t g = 0; g < cfg.active_subgroups && g < cfg.subgroups;
-       ++g) {
+  for (std::size_t g = 0; g < cfg.active_subgroups; ++g) {
     for (net::NodeId m : all) {
       active_cpu += cluster.node(m).predicate_cpu_in(sgs[g]);
     }
@@ -228,9 +179,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
         static_cast<double>(active_cpu) / static_cast<double>(total_cpu);
   }
 
-  cluster.shutdown();
-  res.cost.engine_steps = cluster.steps();
-  res.cost.run_seconds = seconds_since(run_start);
+  run.finish();
   return res;
 }
 

@@ -9,7 +9,7 @@
 #include "metrics/metrics.hpp"
 #include "metrics/registry.hpp"
 #include "trace/trace.hpp"
-#include "workload/run_cost.hpp"
+#include "workload/run.hpp"
 
 namespace spindle::workload {
 
@@ -22,7 +22,7 @@ enum class SenderPattern { all, half, one };
 struct ExperimentConfig {
   std::size_t nodes = 16;
   std::size_t subgroups = 1;         // every node is a member of every one
-  std::size_t active_subgroups = 1;  // only these have senders sending
+  std::size_t active_subgroups = 1;  // the first ones, <= subgroups, send
   SenderPattern senders = SenderPattern::all;
   std::size_t messages_per_sender = 1000;
   std::uint32_t message_size = 10240;
@@ -95,6 +95,7 @@ struct ExperimentResult {
 
 /// Build the cluster for `cfg`, run until every tracked message has been
 /// delivered everywhere (or the watchdog trips), and collect metrics.
+/// Throws std::invalid_argument if active_subgroups > subgroups.
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
 /// The paper runs each test 5 times and plots mean +- stddev. Seeds are
@@ -118,9 +119,5 @@ std::size_t sender_count(SenderPattern p, std::size_t nodes);
 /// Benchmark scale factor from SPINDLE_BENCH_SCALE (default 1.0): scales
 /// messages_per_sender so CI and quick runs stay fast.
 double bench_scale();
-
-/// Worker-thread count from SPINDLE_SIM_THREADS (default 1). This is what
-/// ExperimentConfig::sim_threads == 0 resolves to.
-std::size_t sim_threads_from_env();
 
 }  // namespace spindle::workload

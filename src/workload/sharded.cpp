@@ -20,12 +20,9 @@ std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
 
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 
-/// Per-node digest/accounting slot. Each node's merged handler runs on the
-/// worker that owns the node, so every field is written by exactly one
-/// thread; the stop condition and post-run fold read them at a barrier.
+/// Per-node digest slot, written only by the node's own worker like its
+/// completion slot; the post-run fold reads it after the run.
 struct NodeSlot {
-  std::uint64_t delivered = 0;
-  sim::Nanos last_at = 0;
   std::uint64_t digest = kFnvOffset;
   /// Per-shard commutative projection digest over payload tags (empty =
   /// not collected for this node). Unlike `digest`, order- and
@@ -35,11 +32,9 @@ struct NodeSlot {
   metrics::Histogram cross_latency;
 };
 
-void fold_delivery(NodeSlot& slot, sim::Engine& eng,
+void fold_delivery(NodeSlot& slot, ClusterRun::Completion& done,
                    const core::DomainDelivery& d) {
-  ++slot.delivered;
-  const sim::Nanos now = eng.now();
-  slot.last_at = now;
+  const sim::Nanos now = done.record();
   std::uint64_t h = slot.digest;
   h = fnv_u64(h, static_cast<std::uint64_t>(d.shard));
   h = fnv_u64(h, d.shard_mask);
@@ -71,35 +66,18 @@ void fold_delivery(NodeSlot& slot, sim::Engine& eng,
   }
 }
 
-/// One sender's stream into one shard: the per-shard slice of its
-/// deterministic schedule, in schedule order. Each sender runs one of these
-/// per shard (a sharded system's per-shard send queue), so one shard's full
-/// window never throttles the others; at shards == 1 the single stream is
-/// the whole schedule and the coroutine is line-for-line the plain-arm
-/// sender.
-sim::Co<> single_stream(core::Cluster* cluster, core::OrderingDomain* dom,
-                        net::NodeId id, const ShardedConfig* cfg,
-                        std::vector<std::uint64_t> indices) {
-  core::Node& node = cluster->node(id);
-  for (std::uint64_t i : indices) {
-    if (node.stopped()) co_return;
-    const std::uint64_t h = sharded_message_hash(cfg->seed, id, i);
-    const std::uint64_t tag = (static_cast<std::uint64_t>(id) << 32) | i;
-    co_await dom->send(id, h, cfg->message_size,
-                       [tag](std::span<std::byte> buf) {
-                         if (buf.size() >= sizeof tag) {
-                           std::memcpy(buf.data(), &tag, sizeof tag);
-                         }
-                       });
-  }
-}
-
-/// One sender's cross-shard stream. Separate from the single streams: a
-/// cross blocks on the sequencer round trip (one outstanding gsn per node),
-/// and must not stall single-shard sends behind that wait.
-sim::Co<> cross_stream(core::Cluster* cluster, core::OrderingDomain* dom,
-                       net::NodeId id, const ShardedConfig* cfg,
-                       std::vector<std::uint64_t> indices) {
+/// One sender's stream of schedule indices, in schedule order. With a
+/// domain, each sender runs one single-shard stream per shard (a sharded
+/// system's per-shard send queue, so one shard's full window never
+/// throttles the others) plus a `cross` stream, kept apart because a cross
+/// blocks on the sequencer round trip (one outstanding gsn per node).
+/// Without one (`dom == nullptr`, the reference arm of the digest gate) the
+/// single stream goes straight at subgroup `sg`, no OrderingDomain anywhere
+/// on the path.
+sim::Co<> send_stream(core::Cluster* cluster, core::OrderingDomain* dom,
+                      core::SubgroupId sg, net::NodeId id,
+                      const ShardedConfig* cfg,
+                      std::vector<std::uint64_t> indices, bool cross) {
   core::Node& node = cluster->node(id);
   const std::size_t width =
       std::min(std::max<std::size_t>(cfg->cross_width, 2), cfg->shards);
@@ -107,27 +85,14 @@ sim::Co<> cross_stream(core::Cluster* cluster, core::OrderingDomain* dom,
     if (node.stopped()) co_return;
     const std::uint64_t h = sharded_message_hash(cfg->seed, id, i);
     const std::uint64_t tag = (static_cast<std::uint64_t>(id) << 32) | i;
-    co_await dom->send_multi(id, sharded_cross_mask(h, cfg->shards, width),
-                             cfg->message_size,
-                             [tag](std::span<std::byte> buf) {
-                               if (buf.size() >= sizeof tag) {
-                                 std::memcpy(buf.data(), &tag, sizeof tag);
-                               }
-                             });
-  }
-}
-
-/// Reference arm of the digest gate: the same schedule driven straight at
-/// the subgroup, no OrderingDomain anywhere on the path.
-sim::Co<> plain_sender(core::Cluster* cluster, core::SubgroupId sg,
-                       net::NodeId id, const ShardedConfig* cfg) {
-  core::Node& node = cluster->node(id);
-  for (std::uint64_t i = 0; i < cfg->messages_per_sender; ++i) {
-    if (node.stopped()) co_return;
-    const std::uint64_t tag = (static_cast<std::uint64_t>(id) << 32) | i;
-    co_await node.send(sg, cfg->message_size, [tag](std::span<std::byte> buf) {
-      if (buf.size() >= sizeof tag) std::memcpy(buf.data(), &tag, sizeof tag);
-    });
+    if (dom == nullptr) {
+      co_await node.send(sg, cfg->message_size, tag_payload(tag));
+    } else if (cross) {
+      co_await dom->send_multi(id, sharded_cross_mask(h, cfg->shards, width),
+                               cfg->message_size, tag_payload(tag));
+    } else {
+      co_await dom->send(id, h, cfg->message_size, tag_payload(tag));
+    }
   }
 }
 
@@ -164,19 +129,11 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
         "run_sharded: the plain (use_domain = false) arm models exactly one "
         "subgroup");
   }
-  const auto setup_start = WallClock::now();
-  core::ClusterConfig cc;
-  cc.nodes = cfg.nodes;
-  cc.timing = cfg.timing;
-  cc.cpu = cfg.cpu;
-  cc.seed = cfg.seed;
-  cc.sim_threads = cfg.sim_threads > 0 ? cfg.sim_threads : sim_threads_from_env();
-  core::Cluster cluster(cc);
-
-  std::vector<net::NodeId> all(cfg.nodes);
-  for (std::size_t i = 0; i < cfg.nodes; ++i) {
-    all[i] = static_cast<net::NodeId>(i);
-  }
+  ShardedResult res;
+  ClusterRun run(cluster_config(cfg.nodes, cfg.seed, cfg.sim_threads),
+                 res.cost);
+  core::Cluster& cluster = run.cluster();
+  const std::vector<net::NodeId>& all = run.nodes();
 
   std::unique_ptr<core::OrderingDomain> dom;
   core::SubgroupId plain_sg = 0;
@@ -198,10 +155,7 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
     sc.opts = cfg.opts;
     plain_sg = cluster.create_subgroup(std::move(sc));
   }
-  cluster.start();
-  ShardedResult res;
-  res.cost.setup_seconds = seconds_since(setup_start);
-  const auto run_start = WallClock::now();
+  run.start();
 
   const std::uint64_t sends =
       static_cast<std::uint64_t>(cfg.nodes) * cfg.messages_per_sender;
@@ -214,25 +168,15 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
   slots[0].proj.assign(cfg.shards, kFnvOffset);
   for (net::NodeId m : all) {
     NodeSlot& slot = slots[m];
-    sim::Engine& eng = cluster.engine_for(m);
+    ClusterRun::Completion& done = run.completion(m);
     if (cfg.use_domain) {
-      dom->attach(m, [&slot, &eng](const core::DomainDelivery& d) {
-        fold_delivery(slot, eng, d);
+      dom->attach(m, [&slot, &done](const core::DomainDelivery& d) {
+        fold_delivery(slot, done, d);
       });
     } else {
       cluster.node(m).set_delivery_handler(
-          plain_sg, [&slot, &eng](const core::Delivery& d) {
-            core::DomainDelivery dd;
-            dd.shard = 0;
-            dd.shard_mask = 1u;
-            dd.sender = d.sender;
-            dd.seq = d.seq;
-            dd.sender_index = d.sender_index;
-            dd.cross = false;
-            dd.data = d.data;
-            dd.sent_at = d.sent_at;
-            dd.flags = d.flags;
-            fold_delivery(slot, eng, dd);
+          plain_sg, [&slot, &done](const core::Delivery& d) {
+            fold_delivery(slot, done, core::single_shard_delivery(d, 0));
           });
     }
   }
@@ -240,15 +184,10 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
   res.expected_deliveries = expected;
 
   // Partition each sender's schedule into per-shard single streams plus a
-  // cross stream, all spawned concurrently (empty streams are not spawned,
-  // so the k = 1 domain arm runs exactly one coroutine per sender — the
-  // same actor structure as the plain arm).
+  // cross stream, all spawned concurrently. Empty streams are not spawned,
+  // so the k = 1 domain arm and the plain arm run exactly one coroutine per
+  // sender.
   for (net::NodeId s : all) {
-    if (!cfg.use_domain) {
-      res.singles_sent += cfg.messages_per_sender;
-      cluster.engine_for(s).spawn(plain_sender(&cluster, plain_sg, s, &cfg));
-      continue;
-    }
     std::vector<std::vector<std::uint64_t>> per_shard(cfg.shards);
     std::vector<std::uint64_t> crosses;
     for (std::uint64_t i = 0; i < cfg.messages_per_sender; ++i) {
@@ -256,36 +195,24 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
       if (cfg.shards > 1 && sharded_is_cross(h, cfg.cross_fraction)) {
         crosses.push_back(i);
       } else {
-        per_shard[dom->shard_of(h)].push_back(i);
+        per_shard[dom ? dom->shard_of(h) : 0].push_back(i);
       }
     }
     for (auto& indices : per_shard) {
       if (indices.empty()) continue;
       res.singles_sent += indices.size();
-      cluster.engine_for(s).spawn(
-          single_stream(&cluster, dom.get(), s, &cfg, std::move(indices)));
+      cluster.engine_for(s).spawn(send_stream(&cluster, dom.get(), plain_sg, s,
+                                              &cfg, std::move(indices), false));
     }
     if (!crosses.empty()) {
       res.crosses_sent += crosses.size();
-      cluster.engine_for(s).spawn(
-          cross_stream(&cluster, dom.get(), s, &cfg, std::move(crosses)));
+      cluster.engine_for(s).spawn(send_stream(&cluster, dom.get(), plain_sg, s,
+                                              &cfg, std::move(crosses), true));
     }
   }
 
-  res.completed = cluster.run_until(
-      [&] {
-        std::uint64_t total = 0;
-        for (const NodeSlot& s : slots) total += s.delivered;
-        return total >= expected;
-      },
-      cfg.max_virtual);
-
-  // Makespan keys on the last merged upcall (worker-count-invariant), not
-  // on where the driver happened to halt — same convention as
-  // run_experiment.
-  sim::Nanos& makespan = res.cost.makespan;
-  for (const NodeSlot& s : slots) makespan = std::max(makespan, s.last_at);
-  if (!res.completed || makespan == 0) makespan = cluster.now();
+  res.completed = run.run_until_complete(expected);
+  const sim::Nanos makespan = res.cost.makespan;
 
   std::uint64_t digest = kFnvOffset;
   for (net::NodeId m : all) {
@@ -298,7 +225,6 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
   res.shard_projection_digests = slots[0].proj;
   if (dom) res.grant_latency_ns = dom->grant_latency();
   res.grants_issued = dom ? dom->grants_issued() : 0;
-  res.cost.sim_workers = cluster.sim_workers();
   res.stats = cluster.stats();
 
   const double secs = sim::to_seconds(makespan);
@@ -308,9 +234,7 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
     res.delivery_rate_per_node = static_cast<double>(sends) / secs;
   }
 
-  cluster.shutdown();
-  res.cost.engine_steps = cluster.steps();
-  res.cost.run_seconds = seconds_since(run_start);
+  run.finish();
   return res;
 }
 

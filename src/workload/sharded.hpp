@@ -38,9 +38,6 @@ struct ShardedConfig {
   /// bench_atomics_seq.
   core::SequencerKind sequencer_mode = core::SequencerKind::sst;
   std::uint64_t seed = 1;
-  net::TimingModel timing{};
-  core::CpuModel cpu{};
-  sim::Nanos max_virtual = sim::seconds(600);
   std::size_t sim_threads = 0;  // 0: resolve SPINDLE_SIM_THREADS
 };
 

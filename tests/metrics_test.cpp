@@ -89,23 +89,6 @@ TEST(Histogram, LargestExactBucketEndsAtItsValue) {
   EXPECT_EQ(buckets.front().count, 3u);
 }
 
-TEST(Summary, EmptyReportsZeroNotInfinity) {
-  Summary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.min(), 0.0);  // not +inf
-  EXPECT_EQ(s.max(), 0.0);  // not -inf
-  EXPECT_EQ(s.mean(), 0.0);
-}
-
-TEST(Summary, TracksMinMaxMean) {
-  Summary s;
-  for (double v : {4.0, 1.0, 7.0}) s.add(v);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_EQ(s.min(), 1.0);
-  EXPECT_EQ(s.max(), 7.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-}
-
 TEST(RunStats, MeanAndStddev) {
   RunStats s;
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);

@@ -16,51 +16,13 @@
 
 #include "core/domain.hpp"
 #include "workload/sharded.hpp"
+#include "digest.hpp"
 
 namespace spindle::core {
 namespace {
 
-struct Digest {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_histogram(const metrics::Histogram& hist) {
-    mix(hist.count());
-    mix(hist.min());
-    mix(hist.max());
-    for (const auto& b : hist.buckets()) {
-      mix(b.low);
-      mix(b.count);
-    }
-  }
-  void mix_counters(const metrics::ProtocolCounters& c) {
-    mix(c.rdma_writes_posted);
-    mix(c.rdma_bytes_posted);
-    mix(static_cast<std::uint64_t>(c.post_cpu));
-    mix(static_cast<std::uint64_t>(c.sender_wait));
-    mix(static_cast<std::uint64_t>(c.lock_wait));
-    mix(c.nulls_sent);
-    mix(c.null_iterations);
-    mix(c.messages_sent);
-    mix(c.messages_delivered);
-    mix(c.bytes_delivered);
-    mix(static_cast<std::uint64_t>(c.predicate_cpu));
-    mix_histogram(c.send_batches);
-    mix_histogram(c.receive_batches);
-    mix_histogram(c.delivery_batches);
-    mix_histogram(c.delivery_latency_ns);
-  }
-};
-
-std::uint64_t tag_of(std::span<const std::byte> data) {
-  std::uint64_t t = 0;
-  if (data.size() >= sizeof t) std::memcpy(&t, data.data(), sizeof t);
-  return t;
-}
+using test::Digest;
+using test::tag_of;
 
 // ---------------------------------------------------------------------------
 // Key routing

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 
+#include "workload/client_swarm.hpp"
 #include "workload/experiment.hpp"
+#include "workload/recovery.hpp"
 #include "workload/table.hpp"
+#include "digest.hpp"
 
 namespace spindle::workload {
 namespace {
+
+using test::Digest;
 
 TEST(Workload, SenderCountPatterns) {
   EXPECT_EQ(sender_count(SenderPattern::all, 16), 16u);
@@ -98,6 +104,93 @@ TEST(Workload, WatchdogReportsIncompleteRuns) {
   cfg.max_virtual = sim::micros(200);
   auto r = run_experiment(cfg);
   EXPECT_FALSE(r.completed);
+}
+
+TEST(Workload, ActiveSubgroupsBeyondSubgroupsAreRejected) {
+  ExperimentConfig cfg;
+  cfg.nodes = 4;
+  cfg.subgroups = 1;
+  cfg.active_subgroups = 2;  // no second subgroup to send into
+  cfg.messages_per_sender = 50;
+  cfg.message_size = 256;
+  cfg.max_virtual = sim::millis(50);
+  EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Per-driver golden digests. Each pins everything its driver reports that
+// the engine can influence (virtual times, step counts, delivery totals,
+// histogram buckets), so a reordered spawn, handler or completion check in
+// a driver shows up as a digest change.
+
+constexpr std::uint64_t kGoldenExperiment = 0x865e2238fc071353;
+constexpr std::uint64_t kGoldenSwarm = 0x7290eac23d93c7d2;
+constexpr std::uint64_t kGoldenRecovery = 0xed95c6c3b1f8a602;
+constexpr std::uint64_t kGoldenTotalRecoveryDriver = 0xafe93e7d23e67bc1;
+
+// 2 subgroups, 2 of 4 nodes sending, sender 0 pausing after each send.
+ExperimentResult run_digest_experiment(std::size_t sim_threads) {
+  ExperimentConfig cfg;
+  cfg.nodes = 4;
+  cfg.subgroups = cfg.active_subgroups = 2;
+  cfg.senders = SenderPattern::half;
+  cfg.messages_per_sender = 40;
+  cfg.message_size = 1024;
+  cfg.delayed_senders = 1;
+  cfg.post_send_delay = sim::micros(10);
+  cfg.seed = 3;
+  cfg.sim_threads = sim_threads;
+  return run_experiment(cfg);
+}
+
+TEST(WorkloadDigest, ExperimentGolden) {
+  const ExperimentResult r = run_digest_experiment(1);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(Digest{}.mix_all(r.cost.makespan, r.cost.engine_steps,
+                             r.expected_deliveries,
+                             r.stats.total.messages_delivered,
+                             r.stats.total.bytes_delivered,
+                             r.delayed_sender_latency_ns,
+                             r.continuous_sender_latency_ns),
+            kGoldenExperiment);
+  const ExperimentResult par = run_digest_experiment(2);
+  ASSERT_TRUE(par.completed);
+  EXPECT_EQ(par.cost.sim_workers, 2u);
+  EXPECT_EQ(par.cost.makespan, r.cost.makespan);
+  EXPECT_EQ(Digest{}.mix_all(par.continuous_sender_latency_ns),
+            Digest{}.mix_all(r.continuous_sender_latency_ns));
+}
+
+TEST(WorkloadDigest, ClientSwarmGolden) {
+  SwarmConfig cfg;
+  cfg.sessions_per_relay = 150;  // 2 relays
+  cfg.duration = sim::millis(2);
+  cfg.seed = 3;
+  const SwarmResult r = run_client_swarm(cfg);
+  ASSERT_TRUE(r.completed);
+  EXPECT_GT(r.ok, 0u);
+  EXPECT_EQ(Digest{}.mix_all(r.offered, r.ok, r.busy, r.cancelled,
+                             r.disconnected, r.shed, r.cost.makespan,
+                             r.cost.engine_steps, r.latency_ns),
+            kGoldenSwarm);
+}
+
+TEST(WorkloadDigest, RecoveryGolden) {
+  const RecoveryResult r = run_recovery(RecoveryConfig{});
+  EXPECT_GT(r.install_ns, 0);
+  EXPECT_EQ(Digest{}.mix_all(r.detect_ns, r.install_ns, r.first_delivery_ns,
+                             r.max_gap_ns, r.pre_mmps, r.post_mmps,
+                             r.delivered_total),
+            kGoldenRecovery);
+}
+
+TEST(WorkloadDigest, TotalRecoveryGolden) {
+  const TotalRecoveryResult r = run_total_recovery(TotalRecoveryConfig{});
+  EXPECT_TRUE(r.recovered);
+  EXPECT_EQ(Digest{}.mix_all(r.halt_ns, r.install_ns, r.first_new_delivery_ns,
+                             r.lcp_records, r.max_pre_records, r.lost_records,
+                             r.replayed, r.delivered_after, r.recovered),
+            kGoldenTotalRecoveryDriver);
 }
 
 TEST(Workload, BenchScaleDefaultsToOne) {
