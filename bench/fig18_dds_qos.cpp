@@ -49,9 +49,9 @@ double run_dds(std::size_t subscribers, dds::Qos qos,
   }(&domain, samples));
 
   const std::uint64_t expected = samples * subscribers;
-  domain.engine().run_until(
+  domain.cluster().run_until(
       [&] { return domain.total_samples(1) >= expected; }, sim::seconds(60));
-  const double secs = sim::to_seconds(domain.engine().now());
+  const double secs = sim::to_seconds(domain.cluster().now());
   // Paper metric: delivered application data per unit time per subscriber.
   return static_cast<double>(samples) * 10240.0 / secs / 1e9;
 }
@@ -91,7 +91,7 @@ std::pair<double, double> run_session_echo(dds::Qos qos,
     }
     *flag = true;
   }(session, requests, &rtt_ns, &done));
-  domain.engine().run_until([&] { return done; }, sim::seconds(60));
+  domain.cluster().run_until([&] { return done; }, sim::seconds(60));
   return {static_cast<double>(rtt_ns.percentile(50)) / 1e3,
           static_cast<double>(rtt_ns.percentile(99)) / 1e3};
 }

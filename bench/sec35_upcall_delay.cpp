@@ -83,7 +83,7 @@ int main() {
             }
           }(&cluster, i, sg, d.messages_per_sender));
     }
-    cluster.engine().run_until(
+    cluster.run_until(
         [&] {
           return cluster.total_delivered(sg) >=
                  16ull * d.messages_per_sender * 16ull;
@@ -91,7 +91,7 @@ int main() {
         sim::seconds(120));
     const double batched_gbps =
         static_cast<double>(cluster.stats().total.bytes_delivered) / 16.0 /
-        sim::to_seconds(cluster.engine().now()) / 1e9;
+        sim::to_seconds(cluster.now()) / 1e9;
     std::printf(
         "1us upcall, 16 senders: per-message upcalls %.2f GB/s vs batched "
         "upcalls %.2f GB/s\n",

@@ -131,7 +131,7 @@ int main() {
                 static_cast<double>(r.rtt) / 1e3);
   }(ground));
 
-  domain.engine().run_until(
+  domain.cluster().run_until(
       [&] {
         return domain.total_samples(1) >= 600 &&
                domain.total_samples(2) >= 24 &&
@@ -147,6 +147,6 @@ int main() {
               static_cast<unsigned long long>(
                   domain.reader(3, 3).logged_bytes()));
   std::printf("virtual flight time      : %.2f ms\n",
-              sim::to_seconds(domain.engine().now()) * 1e3);
+              sim::to_seconds(domain.cluster().now()) * 1e3);
   return 0;
 }

@@ -54,13 +54,13 @@ int main() {
         }(&cluster, n, id));
   }
 
-  cluster.engine().run_until(
+  cluster.run_until(
       [&] { return cluster.total_delivered(id) >= 4 * 4 * 100; },
       sim::seconds(10));
 
   std::printf("\ndelivered per node:");
   for (auto d : delivered) std::printf(" %llu", (unsigned long long)d);
-  std::printf("\nvirtual time: %.1f us\n", sim::to_micros(cluster.engine().now()));
+  std::printf("\nvirtual time: %.1f us\n", sim::to_micros(cluster.now()));
   cluster.shutdown();
   return 0;
 }

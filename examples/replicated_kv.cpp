@@ -89,7 +89,7 @@ int main() {
     cluster.engine().spawn(writer(&cluster, n, sg, kOpsPerWriter));
   }
 
-  cluster.engine().run_until(
+  cluster.run_until(
       [&] {
         return cluster.total_delivered(sg) >=
                static_cast<std::uint64_t>(kReplicas) * kReplicas *
@@ -99,7 +99,7 @@ int main() {
 
   std::printf("applied %llu ops per replica in %.2f ms virtual time\n",
               static_cast<unsigned long long>(stores[0].version),
-              sim::to_seconds(cluster.engine().now()) * 1e3);
+              sim::to_seconds(cluster.now()) * 1e3);
   bool identical = true;
   for (int r = 1; r < kReplicas; ++r) {
     identical = identical && stores[r].fingerprint() == stores[0].fingerprint();

@@ -21,28 +21,24 @@ void ClusterConfig::validate() const {
   }
   if (sim_threads == 0) {
     throw std::invalid_argument(
-        "ClusterConfig: sim_threads must be >= 1 (1 = serial engine)");
+        "ClusterConfig: sim_threads must be >= 1");
   }
 }
 
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(cfg),
-      parallel_(cfg.nodes > 0 && std::min(cfg.sim_threads, cfg.nodes) > 1
-                    ? std::make_unique<sim::ParallelEngine>(
-                          std::min(cfg.sim_threads, cfg.nodes),
-                          cfg.timing.min_remote_delay())
-                    : nullptr),
-      owned_engine_(parallel_ ? nullptr : std::make_unique<sim::Engine>()),
-      owned_fabric_(std::make_unique<net::Fabric>(
-          parallel_ ? parallel_->worker(0) : *owned_engine_, cfg.timing,
-          cfg.nodes)),
-      engine_(parallel_ ? &parallel_->worker(0) : owned_engine_.get()),
+      owned_sim_(std::make_unique<sim::ParallelEngine>(
+          std::max<std::size_t>(1, std::min(cfg.sim_threads, cfg.nodes)),
+          cfg.timing.min_remote_delay())),
+      owned_fabric_(std::make_unique<net::Fabric>(owned_sim_->worker(0),
+                                                  cfg.timing, cfg.nodes)),
+      engine_(owned_sim_.get()),
       fabric_(owned_fabric_.get()),
       owned_tracer_(std::make_unique<trace::Tracer>(cfg.trace, cfg.nodes)),
       tracer_(owned_tracer_.get()),
       rng_(cfg.seed) {
   cfg_.validate();
-  if (parallel_) {
+  if (engine_->workers() > 1) {
     // Partition-aware fabric routing: per-node engines for posts and
     // doorbells, staged cross-partition channels, and the merge hook that
     // applies them at every lookahead barrier.
@@ -51,14 +47,13 @@ Cluster::Cluster(ClusterConfig cfg)
     for (std::size_t i = 0; i < cfg.nodes; ++i) {
       part_of[i] =
           static_cast<std::uint32_t>(partition_of(static_cast<net::NodeId>(i)));
-      engine_of[i] = &parallel_->worker(part_of[i]);
+      engine_of[i] = &engine_->worker(part_of[i]);
     }
     fabric_->configure_partitions(std::move(engine_of), std::move(part_of),
-                                  parallel_->workers(),
-                                  cfg.seed ^ 0xfab51cULL);
-    parallel_->set_merge_hook(
+                                  engine_->workers());
+    engine_->set_merge_hook(
         [this](std::size_t p) { fabric_->merge_arrivals(p); });
-    parallel_->set_barrier_hook([this] { fabric_->sample_payload_peak(); });
+    engine_->set_barrier_hook([this] { fabric_->sample_payload_peak(); });
   }
   for (std::size_t i = 0; i < cfg.nodes; ++i) {
     members_.push_back(static_cast<net::NodeId>(i));
@@ -69,7 +64,7 @@ Cluster::Cluster(ClusterConfig cfg)
   }
 }
 
-Cluster::Cluster(sim::Engine& engine, net::Fabric& fabric,
+Cluster::Cluster(sim::ParallelEngine& engine, net::Fabric& fabric,
                  const ClusterConfig& cfg, std::vector<net::NodeId> members,
                  trace::Tracer* tracer)
     : cfg_(cfg),
@@ -344,20 +339,11 @@ void Cluster::shutdown() {
   for (net::NodeId id : members_) nodes_[id]->stop();
   // Drain only when we own the engine; epoch clusters inside a managed
   // group share the engine with the membership service, which never quiesces.
-  if (owned_engine_ || parallel_) {
-    run();
-  }
+  if (owned_sim_) run();
 }
 
 void Cluster::crash(net::NodeId id) {
-  if (parallel_) {
-    // isolate() flips a flag every partition reads mid-window — there is no
-    // race-free crash story under the parallel engine (and no view layer on
-    // standalone clusters to react to one anyway).
-    throw std::logic_error(
-        "Cluster::crash(): not supported with sim_threads > 1 — crash/view "
-        "experiments run under ManagedGroup, which is serial");
-  }
+  // Throws std::logic_error with more than one worker (see Fabric::isolate).
   fabric_->isolate(id);
   nodes_[id]->stop();
 }

@@ -29,15 +29,17 @@ struct ClusterConfig {
   /// DRR only: probe period for subgroups demoted onto the scan lane —
   /// the latency bound for a cold subgroup's first message under load.
   sim::Nanos scan_interval = sim::micros(25);
-  /// Simulation worker threads. 1 (default) = the serial engine, unchanged.
-  /// > 1 = conservative-lookahead parallel execution (sim::ParallelEngine):
-  /// nodes are block-partitioned across min(sim_threads, nodes) workers and
-  /// results are byte-identical to serial runs (parallel_engine_test pins
-  /// this against the determinism-lock goldens). Parallel-mode limits:
-  /// crash()/isolate() are unsupported, link-fault multipliers must be
-  /// >= 1, and drive the run through Cluster::run_until/run/run_to rather
-  /// than engine().run_*(). Only standalone clusters parallelize; epoch
-  /// clusters under a ManagedGroup share their engine and stay serial.
+  /// Simulation worker threads of the cluster's sim::ParallelEngine. Nodes
+  /// are block-partitioned across min(sim_threads, nodes) workers. One
+  /// worker (the default) runs on the calling thread with no lookahead
+  /// windows; more run conservative-lookahead windows on that many threads,
+  /// and results are byte-identical to one worker (parallel_engine_test
+  /// pins this against the determinism-lock goldens). With more than one
+  /// worker, crash(), fabric isolate()/restore(), fabric atomics and
+  /// link-fault multipliers below 1 throw std::logic_error, and the run
+  /// must be driven through Cluster::run_until/run/run_to (a worker's own
+  /// run methods throw). Only standalone clusters use this; epoch clusters
+  /// under a ManagedGroup share the group's one-worker engine.
   std::size_t sim_threads = 1;
 
   /// Throws std::invalid_argument with a descriptive message if the
@@ -59,12 +61,13 @@ class Cluster {
   explicit Cluster(ClusterConfig cfg);
 
   /// Epoch cluster for virtual synchrony (core/view.hpp): shares an
-  /// existing engine + fabric and spans only `members` (a subset of the
-  /// fabric's nodes — e.g. the survivors of a view change). When `tracer`
-  /// is given, events land in that shared stream (so one trace spans every
-  /// epoch); otherwise a private tracer is built from cfg.trace.
-  Cluster(sim::Engine& engine, net::Fabric& fabric, const ClusterConfig& cfg,
-          std::vector<net::NodeId> members, trace::Tracer* tracer = nullptr);
+  /// existing one-worker engine + fabric and spans only `members` (a subset
+  /// of the fabric's nodes — e.g. the survivors of a view change). When
+  /// `tracer` is given, events land in that shared stream (so one trace
+  /// spans every epoch); otherwise a private tracer is built from cfg.trace.
+  Cluster(sim::ParallelEngine& engine, net::Fabric& fabric,
+          const ClusterConfig& cfg, std::vector<net::NodeId> members,
+          trace::Tracer* tracer = nullptr);
 
   ~Cluster();
   Cluster(const Cluster&) = delete;
@@ -126,58 +129,35 @@ class Cluster {
     return id < nodes_.size() && nodes_[id] != nullptr;
   }
   Node& node(net::NodeId id);
-  /// Worker 0's engine in parallel mode (safe for pre-start scheduling at
-  /// t=0 and post-run reads); THE engine in serial mode. Parallel runs must
-  /// use engine_for() for per-node scheduling and the Cluster-level run
-  /// methods below for driving.
-  sim::Engine& engine() noexcept { return *engine_; }
-  /// The engine that owns `id`'s events — identical to engine() when
-  /// serial. All node-local scheduling (fault injection, sender actors)
-  /// goes through this.
+  /// Worker 0's engine: safe for pre-start scheduling at t=0 and post-run
+  /// reads. With one worker it is the whole engine; with more, use
+  /// engine_for() for per-node scheduling, and drive runs through the
+  /// Cluster-level run methods below (the worker's own run methods throw).
+  sim::Engine& engine() noexcept { return engine_->worker(0); }
+  /// The engine that owns `id`'s events. All node-local scheduling (fault
+  /// injection, sender actors) goes through this.
   sim::Engine& engine_for(net::NodeId id) noexcept {
-    return parallel_ ? parallel_->worker(partition_of(id)) : *engine_;
+    return engine_->worker(partition_of(id));
   }
   /// Static block partition of fabric node ids onto workers.
   std::size_t partition_of(net::NodeId id) const noexcept {
-    return parallel_ == nullptr
-               ? 0
-               : (static_cast<std::size_t>(id) * parallel_->workers()) /
-                     cfg_.nodes;
+    return (static_cast<std::size_t>(id) * engine_->workers()) / cfg_.nodes;
   }
-  /// Worker threads executing this cluster (1 = serial).
-  std::size_t sim_workers() const noexcept {
-    return parallel_ ? parallel_->workers() : 1;
-  }
+  /// Worker threads executing this cluster.
+  std::size_t sim_workers() const noexcept { return engine_->workers(); }
 
-  // --- engine-mode-agnostic run interface (use these, not engine().run_*,
-  // so the same driver code works serial and parallel) ---
+  // --- run interface (use these, not engine().run_*, so the same driver
+  // code works at every worker count) ---
   bool run_until(const std::function<bool()>& stop_condition,
                  sim::Nanos max_virtual = 0) {
-    return parallel_ ? parallel_->run_until(stop_condition, max_virtual)
-                     : engine_->run_until(stop_condition, max_virtual);
+    return engine_->run_until(stop_condition, max_virtual);
   }
-  void run() {
-    if (parallel_) {
-      parallel_->run();
-    } else {
-      engine_->run();
-    }
-  }
-  void run_to(sim::Nanos t) {
-    if (parallel_) {
-      parallel_->run_to(t);
-    } else {
-      engine_->run_to(t);
-    }
-  }
-  /// Virtual now (max over workers in parallel mode — valid between runs).
-  sim::Nanos now() const noexcept {
-    return parallel_ ? parallel_->now() : engine_->now();
-  }
+  void run() { engine_->run(); }
+  void run_to(sim::Nanos t) { engine_->run_to(t); }
+  /// Virtual now (max over workers — valid between runs).
+  sim::Nanos now() const noexcept { return engine_->now(); }
   /// Events dispatched (summed over workers).
-  std::uint64_t steps() const noexcept {
-    return parallel_ ? parallel_->steps() : engine_->steps();
-  }
+  std::uint64_t steps() const noexcept { return engine_->steps(); }
 
   net::Fabric& fabric() noexcept { return *fabric_; }
   const ClusterConfig& config() const noexcept { return cfg_; }
@@ -228,10 +208,9 @@ class Cluster {
   void validate_setup() const;
 
   ClusterConfig cfg_;
-  std::unique_ptr<sim::ParallelEngine> parallel_;  // sim_threads > 1 only
-  std::unique_ptr<sim::Engine> owned_engine_;      // serial standalone only
+  std::unique_ptr<sim::ParallelEngine> owned_sim_;  // standalone only
   std::unique_ptr<net::Fabric> owned_fabric_;
-  sim::Engine* engine_;
+  sim::ParallelEngine* engine_;
   net::Fabric* fabric_;
   std::unique_ptr<trace::Tracer> owned_tracer_;
   trace::Tracer* tracer_;

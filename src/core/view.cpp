@@ -15,6 +15,8 @@ std::uint64_t bit(net::NodeId id) { return 1ull << id; }
 ManagedGroup::ManagedGroup(Config cfg, SubgroupLayout layout)
     : cfg_(cfg),
       layout_(std::move(layout)),
+      sim_(1, cfg.timing.min_remote_delay()),
+      engine_(sim_.worker(0)),
       fabric_(engine_, cfg.timing, cfg.nodes),
       tracer_(cfg.trace, cfg.nodes),
       rng_(cfg.seed ^ 0x5bd1e995u) {
@@ -119,7 +121,7 @@ void ManagedGroup::build_epoch_cluster() {
   cc.seed = cfg_.seed + view_.epoch + 1;
   cc.trace = cfg_.trace;
   cc.discipline = cfg_.discipline;
-  epoch_cluster_ = std::make_unique<Cluster>(engine_, fabric_, cc,
+  epoch_cluster_ = std::make_unique<Cluster>(sim_, fabric_, cc,
                                              view_.members, &tracer_);
   // Persistent subgroups write through the group-lifetime stores: one
   // versioned log per (node, subgroup) that accumulates across epochs.
@@ -1024,7 +1026,9 @@ void ManagedGroup::leave(net::NodeId node) {
 void ManagedGroup::shutdown() {
   if (terminated_) return;
   terminated_ = true;
-  if (stopped_) return;  // halted: pending events die with the engine
+  // A halted group drains too: its pumps and recovery scheduler are
+  // suspended detached coroutines, and only running them to their exit
+  // frees their frames while the members they point into are alive.
   stopped_ = true;
   if (epoch_cluster_) {
     for (net::NodeId id : view_.members) {

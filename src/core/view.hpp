@@ -88,6 +88,8 @@ class ManagedGroup {
   void start();
   void shutdown();
 
+  /// Worker 0 of the group's one-worker sim::ParallelEngine, which every
+  /// epoch cluster borrows: with one worker it is the whole engine.
   sim::Engine& engine() noexcept { return engine_; }
   const Config& config() const noexcept { return cfg_; }
   net::Fabric& fabric() noexcept { return fabric_; }
@@ -258,7 +260,8 @@ class ManagedGroup {
 
   Config cfg_;
   SubgroupLayout layout_;
-  sim::Engine engine_;
+  sim::ParallelEngine sim_;  // one worker: epoch clusters borrow it
+  sim::Engine& engine_;      // its worker 0
   net::Fabric fabric_;
   trace::Tracer tracer_;
   sim::Rng rng_;

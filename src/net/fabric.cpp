@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace spindle::net {
 
@@ -21,7 +23,10 @@ Fabric::Fabric(sim::Engine& engine, const TimingModel& timing,
       atomics_free_(n_nodes, 0),
       egress_paused_(n_nodes, 0),
       egress_queue_(n_nodes),
-      link_faults_(n_nodes * n_nodes) {
+      link_faults_(n_nodes * n_nodes),
+      engine_of_node_(n_nodes, &engine),
+      part_of_node_(n_nodes, 0),
+      jitter_seq_(n_nodes * n_nodes, 0) {
   doorbells_.reserve(n_nodes);
   for (std::size_t i = 0; i < n_nodes; ++i) {
     doorbells_.push_back(std::make_unique<sim::Signal>(engine));
@@ -30,19 +35,15 @@ Fabric::Fabric(sim::Engine& engine, const TimingModel& timing,
 
 void Fabric::configure_partitions(std::vector<sim::Engine*> engine_of_node,
                                   std::vector<std::uint32_t> part_of_node,
-                                  std::size_t n_partitions,
-                                  std::uint64_t jitter_seed) {
+                                  std::size_t n_partitions) {
   assert(engine_of_node.size() == n_ && part_of_node.size() == n_);
   assert(regions_.empty() && "configure_partitions before register_region");
   assert(n_partitions >= 1);
-  parallel_ = true;
   n_parts_ = n_partitions;
   engine_of_node_ = std::move(engine_of_node);
   part_of_node_ = std::move(part_of_node);
   staged_.assign(n_parts_ * n_parts_, {});
   merge_scratch_.assign(n_parts_, {});
-  jitter_seq_.assign(n_ * n_, 0);
-  jitter_seed_ = jitter_seed;
   // Built in place: a pool holds atomics, so it is never moved.
   pools_ = std::vector<PayloadPool>(n_parts_);
   // Rebind each doorbell to its node's worker engine, so a delivery
@@ -140,9 +141,18 @@ sim::Nanos Fabric::post_write(NodeId src_node, std::span<const RegionId> dsts,
   return total;
 }
 
+void Fabric::require_one_partition(const char* what) const {
+  if (n_parts_ > 1) {
+    throw std::logic_error(std::string("net::Fabric::") + what +
+                           ": not supported with more than one simulation "
+                           "worker (sim_threads > 1)");
+  }
+}
+
 sim::Co<AtomicResult> Fabric::rdma_faa(NodeId src_node, RegionId dst,
                                        std::size_t dst_offset,
                                        std::uint64_t add) {
+  require_one_partition("rdma_faa");
   return atomic_rmw(src_node, dst, dst_offset, /*is_cas=*/false, add, 0);
 }
 
@@ -150,6 +160,7 @@ sim::Co<AtomicResult> Fabric::rdma_cas(NodeId src_node, RegionId dst,
                                        std::size_t dst_offset,
                                        std::uint64_t expected,
                                        std::uint64_t desired) {
+  require_one_partition("rdma_cas");
   return atomic_rmw(src_node, dst, dst_offset, /*is_cas=*/true, expected,
                     desired);
 }
@@ -159,8 +170,6 @@ sim::Co<AtomicResult> Fabric::atomic_rmw(NodeId src_node, RegionId dst,
                                          std::uint64_t arg0,
                                          std::uint64_t arg1) {
   assert(dst.index < regions_.size());
-  assert(!parallel_ &&
-         "one-sided atomics are serial-mode only in v1 (DESIGN.md §3g)");
   Region& region = regions_[dst.index];
   assert(dst_offset % 8 == 0 && dst_offset + 8 <= region.mem.size() &&
          "RDMA atomic must target an aligned 8-byte word inside the region");
@@ -271,9 +280,9 @@ Fabric::Payload* Fabric::acquire_payload(std::size_t stripe,
   pool.bytes_copied += src.size();
   ++pool.live;
   pool.live_bytes += static_cast<std::int64_t>(src.size());
-  // Serial mode has one stripe, so its gauges are the fabric's; parallel
-  // mode samples the sum at window barriers (sample_payload_peak).
-  if (!parallel_) note_payload_peak(pool.live, pool.live_bytes);
+  // One partition has one stripe, so its gauges are the fabric's; more
+  // partitions sample the sum at window barriers (sample_payload_peak).
+  if (n_parts_ == 1) note_payload_peak(pool.live, pool.live_bytes);
   return p;
 }
 
@@ -325,19 +334,12 @@ Fabric::PayloadStats Fabric::payload_stats() const {
 }
 
 sim::Nanos Fabric::jitter_draw(NodeId src, NodeId dst, sim::Nanos jitter) {
-  if (!parallel_) {
-    return static_cast<sim::Nanos>(
-        fault_rng_.below(static_cast<std::uint64_t>(jitter)));
-  }
-  // The serial fabric draws jitter from one shared RNG, whose consumption
-  // order depends on global event interleaving — per-worker replay cannot
-  // reproduce it. Parallel mode instead hashes (seed, link, per-link draw
-  // counter): deterministic and worker-count-invariant, but a different
-  // sequence than serial (documented in DESIGN.md; the determinism
-  // cross-check therefore compares jittered runs only across worker
-  // counts, not against serial).
+  // Hash (link, per-link draw counter): every link's draws happen on its
+  // source node's worker in that node's event order, so the sequence is
+  // the same for every worker count (a shared RNG would depend on the
+  // global interleaving of draws across links).
   const std::size_t link = src * n_ + dst;
-  std::uint64_t x = jitter_seed_ ^ (0x9e3779b97f4a7c15ULL * (link + 1)) ^
+  std::uint64_t x = 0xfab51cULL ^ (0x9e3779b97f4a7c15ULL * (link + 1)) ^
                     (++jitter_seq_[link] * 0xd1342543de82ef95ULL);
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;
@@ -367,7 +369,7 @@ void Fabric::transmit(NodeId src_node, RegionId dst, std::size_t dst_offset,
   const bool control =
       region.channel == Channel::control && timing_.separate_control_channel;
 
-  if (parallel_) {
+  if (n_parts_ > 1) {
     // Source half only: egress serialization is per source node, so it is
     // safe on this worker. The destination half (ingress, FIFO clamp,
     // scheduling) runs at the next lookahead barrier on the destination's
@@ -502,8 +504,8 @@ void Fabric::isolate(NodeId node) {
   assert(node < n_);
   // Crash isolation flips a flag read by every other node's posts and
   // in-flight deliveries — inherently cross-partition, so it has no
-  // race-free parallel-mode story (Cluster::crash guards this too).
-  assert(!parallel_ && "isolate() is serial-mode only");
+  // race-free multi-worker story.
+  require_one_partition("isolate");
   isolated_[node] = 1;
   // A dead NIC's send queue is gone; recycle the stalled payloads.
   for (QueuedWrite& w : egress_queue_[node]) release_payload(0, w.payload);
@@ -512,7 +514,7 @@ void Fabric::isolate(NodeId node) {
 
 void Fabric::restore(NodeId node) {
   assert(node < n_);
-  assert(!parallel_ && "restore() is serial-mode only");
+  require_one_partition("restore");
   isolated_[node] = 0;
   egress_paused_[node] = 0;
   assert(egress_queue_[node].empty());
@@ -549,8 +551,9 @@ void Fabric::set_link_fault(NodeId src, NodeId dst, double latency_multiplier,
   assert(src < n_ && dst < n_);
   // A multiplier below 1 could deliver faster than min_remote_delay(), the
   // parallel engine's lookahead bound — soundness, not just determinism.
-  assert((!parallel_ || latency_multiplier >= 1.0) &&
-         "parallel mode requires link latency multipliers >= 1");
+  if (latency_multiplier < 1.0) {
+    require_one_partition("set_link_fault (latency multiplier < 1)");
+  }
   link_faults_[src * n_ + dst] = LinkFault{latency_multiplier, jitter};
 }
 

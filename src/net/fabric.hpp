@@ -12,7 +12,6 @@
 #include "net/timing.hpp"
 #include "sim/engine.hpp"
 #include "sim/mutex.hpp"
-#include "sim/rng.hpp"
 
 namespace spindle::net {
 
@@ -77,23 +76,23 @@ class Fabric {
   std::span<std::byte> region_mem(RegionId id);
   NodeId region_node(RegionId id) const;
 
-  /// Switch the fabric into parallel-simulation mode (sim::ParallelEngine):
-  /// `engine_of_node[i]` is the worker engine that owns node i and
-  /// `part_of_node[i]` its partition. Call once, before any region is
-  /// registered. From then on every inter-node post is staged into a
-  /// per-(src-partition, dst-partition) channel instead of being scheduled
-  /// directly, and the owner must call merge_arrivals(p) for each partition
-  /// at every lookahead barrier. Restrictions vs. serial mode (asserted or
-  /// documented at the call sites): isolate()/restore() are not supported;
+  /// Spread the nodes over the workers of a multi-worker
+  /// sim::ParallelEngine (a new fabric has one partition: every node on
+  /// the constructor's engine). `engine_of_node[i]` is the worker engine
+  /// that owns node i and `part_of_node[i]` its partition. Call once,
+  /// before any region is registered. With more than one partition every
+  /// inter-node post is staged into a per-(src-partition, dst-partition)
+  /// channel instead of being scheduled directly, and the owner must call
+  /// merge_arrivals(p) for each partition at every lookahead barrier. The
+  /// calls that cannot run across partitions throw std::logic_error there:
+  /// isolate(), restore(), rdma_faa()/rdma_cas(), and set_link_fault() with
+  /// a latency multiplier below 1 (it would break the lookahead bound).
   /// pause/resume_egress and set_link_fault must run on the affected
-  /// source node's worker; link-fault latency multipliers must be >= 1 so
-  /// the lookahead bound stays valid. Jitter draws switch from the shared
-  /// serial RNG to a per-link counter hash seeded by `jitter_seed`
-  /// (worker-count-invariant, but a different sequence than serial).
+  /// source node's worker. Jitter draws are the same for every partition
+  /// count (see jitter_draw).
   void configure_partitions(std::vector<sim::Engine*> engine_of_node,
                             std::vector<std::uint32_t> part_of_node,
-                            std::size_t n_partitions,
-                            std::uint64_t jitter_seed);
+                            std::size_t n_partitions);
 
   /// Apply every staged arrival destined to partition `dst_part`, in the
   /// serial engine's global post order (sorted by the posting events'
@@ -142,9 +141,10 @@ class Fabric {
   /// the per-(source, region) QP FIFO with writes: an atomic posted after a
   /// write executes after that write lands, and later writes land after it.
   ///
-  /// v1 restriction: serial engine mode only (asserted). Parallel mode
-  /// would need the RMW staged at a lookahead barrier like write arrivals;
-  /// the read-back makes that a two-window protocol and is deferred.
+  /// v1 restriction: one partition only (throws std::logic_error
+  /// otherwise). More partitions would need the RMW staged at a lookahead
+  /// barrier like write arrivals; the read-back makes that a two-window
+  /// protocol and is deferred.
   sim::Co<AtomicResult> rdma_faa(NodeId src_node, RegionId dst,
                                  std::size_t dst_offset, std::uint64_t add);
 
@@ -209,8 +209,8 @@ class Fabric {
   /// writes, now and at the peak; and the pool's buffers, of which `idle`
   /// sit in free lists. Every buffer is live or idle, so at quiescence
   /// live == 0 and idle == pooled. Snapshot counts are a pure function of
-  /// the run. The serial engine tracks the peak at every snapshot; the
-  /// parallel engine samples it at window barriers (sample_payload_peak),
+  /// the run. One partition tracks the peak at every snapshot; more
+  /// partitions sample it at window barriers (sample_payload_peak),
   /// so there it is a lower bound. Read it only while the engine is not
   /// running.
   struct PayloadStats {
@@ -291,11 +291,11 @@ class Fabric {
   /// drop a snapshot returns it for reuse, so steady-state traffic
   /// allocates nothing per write. The pool owns every buffer (deque keeps
   /// addresses stable); an event that never runs merely strands its buffer
-  /// until the Fabric dies — no leak. Pools are striped per partition
-  /// (stripe 0 in serial mode); callers always use the stripe of the worker
-  /// thread they run on: a snapshot is taken from the poster's stripe and
-  /// goes back to the stripe of whichever destination worker dropped the
-  /// last reference, so buffers migrate between stripes without locking.
+  /// until the Fabric dies — no leak. Pools are striped per partition;
+  /// callers always use the stripe of the worker thread they run on: a
+  /// snapshot is taken from the poster's stripe and goes back to the
+  /// stripe of whichever destination worker dropped the last reference, so
+  /// buffers migrate between stripes without locking.
   Payload* acquire_payload(std::size_t stripe, std::span<const std::byte> src);
   void release_payload(std::size_t stripe, Payload* p);
 
@@ -318,12 +318,15 @@ class Fabric {
                                    std::uint64_t arg0, std::uint64_t arg1);
 
   sim::Engine& node_engine(NodeId node) noexcept {
-    return parallel_ ? *engine_of_node_[node] : engine_;
+    return *engine_of_node_[node];
   }
   std::size_t part_of(NodeId node) const noexcept {
-    return parallel_ ? part_of_node_[node] : 0;
+    return part_of_node_[node];
   }
   sim::Nanos jitter_draw(NodeId src, NodeId dst, sim::Nanos jitter);
+  /// Throws std::logic_error naming `what` when there is more than one
+  /// partition.
+  void require_one_partition(const char* what) const;
 
   sim::Engine& engine_;
   TimingModel timing_;
@@ -344,15 +347,13 @@ class Fabric {
   // holds the unit for atomic_unit_occupancy, so concurrent atomics queue.
   std::vector<sim::Nanos> atomics_free_;
 
-  // Fault-injection state. The jitter RNG is part of the fabric so a run
-  // with the same seed and fault schedule is bit-reproducible.
+  // Fault-injection state.
   std::vector<char> egress_paused_;
   std::vector<std::deque<QueuedWrite>> egress_queue_;
   std::vector<LinkFault> link_faults_;  // src * n_ + dst
-  sim::Rng fault_rng_{0xfab51c};
 
-  // Payload snapshot pool stripes (see acquire_payload; one stripe in
-  // serial mode, one per partition in parallel mode).
+  // Payload snapshot pool stripes (see acquire_payload; one per
+  // partition).
   // Each stripe's counters are written only by the worker that owns it.
   // A snapshot can be taken on one stripe and returned on another, so a
   // stripe's live gauges may go negative; their sum over stripes is exact.
@@ -370,18 +371,16 @@ class Fabric {
   std::uint64_t peak_live_payload_bytes_ = 0;
   void note_payload_peak(std::int64_t live, std::int64_t live_bytes);
 
-  // Parallel-mode routing state (empty in serial mode). staged_[s * P + d]
-  // is written only by partition s's worker during a window and drained
-  // only by partition d's worker at the barrier; the window barriers order
-  // the two, so no cell needs a lock.
-  bool parallel_ = false;
+  // Partition routing. staged_[s * P + d] (empty with one partition) is
+  // written only by partition s's worker during a window and drained only
+  // by partition d's worker at the barrier; the window barriers order the
+  // two, so no cell needs a lock.
   std::size_t n_parts_ = 1;
   std::vector<sim::Engine*> engine_of_node_;
   std::vector<std::uint32_t> part_of_node_;
   std::vector<std::vector<Arrival>> staged_;
   std::vector<std::vector<Arrival>> merge_scratch_;  // per dst partition
-  std::vector<std::uint64_t> jitter_seq_;     // per link, parallel jitter
-  std::uint64_t jitter_seed_ = 0;
+  std::vector<std::uint64_t> jitter_seq_;            // per link draw count
 };
 
 }  // namespace spindle::net

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace spindle::sim {
 
@@ -14,13 +16,24 @@ void Engine::spawn(Co<> actor) {
   schedule_handle(now_, task.handle);
 }
 
+void Engine::check_unpartitioned(const char* what) const {
+  if (partitioned_) {
+    throw std::logic_error(
+        std::string("sim::Engine::") + what +
+        ": this wheel is one worker of a multi-worker ParallelEngine — "
+        "drive the run through the ParallelEngine (or core::Cluster)");
+  }
+}
+
 void Engine::run() {
+  check_unpartitioned("run");
   while (step()) {
   }
 }
 
 bool Engine::run_until(const std::function<bool()>& stop_condition,
                        Nanos max_virtual) {
+  check_unpartitioned("run_until");
   while (!stop_condition()) {
     if (max_virtual > 0 && now_ > max_virtual) {
       if (diagnostics_provider_) {
@@ -59,6 +72,11 @@ std::string Engine::diagnostics() const {
 }
 
 void Engine::run_to(Nanos t) {
+  check_unpartitioned("run_to");
+  advance_to(t);
+}
+
+void Engine::advance_to(Nanos t) {
   // Gate on step_until, not peek_at: peek_at may report a cancelled timer
   // inside the horizon, and dispatching past it would run a live event
   // beyond t. pop_until reclaims the dead nodes and stops at the horizon.

@@ -169,6 +169,12 @@ class Engine {
   bool step_until(Nanos t) { return dispatch(wheel_.pop_until(t)); }
 
   /// Run until the event queue drains.
+  ///
+  /// run(), run_until() and run_to() throw std::logic_error on a worker of
+  /// a multi-worker ParallelEngine: one wheel of a partitioned run would
+  /// skip the lookahead windows and the fabric merge of arrivals from other
+  /// partitions. Drive such a run through the ParallelEngine (or
+  /// core::Cluster) instead.
   void run();
 
   /// Run until `stop_condition()` holds (checked between events) or the
@@ -212,6 +218,15 @@ class Engine {
   }
 
  private:
+  friend class ParallelEngine;
+
+  /// Throws std::logic_error when this wheel is one partition of a
+  /// multi-worker ParallelEngine (see run()).
+  void check_unpartitioned(const char* what) const;
+
+  /// Run every event at or before `t`, then advance now to `t`.
+  void advance_to(Nanos t);
+
   /// Unique event id: hash-chain the (pu, s) identity pair. splitmix64
   /// finalizer — worker-count-invariant because pu/s are.
   static std::uint64_t mix_uid(std::uint64_t pu, std::uint64_t s) noexcept {
@@ -316,6 +331,7 @@ class Engine {
   std::uint64_t root_seq_ = 0;
   std::uint64_t* root_counter_ = &root_seq_;
   std::uint64_t steps_ = 0;
+  bool partitioned_ = false;  // set by a ParallelEngine with > 1 worker
   TimerWheel wheel_;
   std::function<std::string()> diagnostics_provider_;
 };

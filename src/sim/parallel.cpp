@@ -11,6 +11,7 @@ namespace {
 /// worker can actually run at once; on oversubscribed hosts spinning just
 /// steals the core from the thread we are waiting for.
 int spin_budget(std::size_t workers) {
+  if (workers <= 1) return 0;  // one worker never waits at a barrier
   const unsigned hw = std::thread::hardware_concurrency();
   return (hw != 0 && hw >= workers) ? 4096 : 0;
 }
@@ -30,6 +31,7 @@ ParallelEngine::ParallelEngine(std::size_t workers, Nanos lookahead)
     // sequence stamps the same worker-count-invariant keys it would stamp
     // on a single serial wheel (see Engine::set_root_counter).
     engines_.back()->set_root_counter(&root_seq_);
+    engines_.back()->partitioned_ = workers > 1;
   }
 }
 
@@ -131,16 +133,24 @@ bool ParallelEngine::drive(Mode mode, const std::function<bool()>* cond,
   return met_;
 }
 
-void ParallelEngine::run() { drive(Mode::drain, nullptr, 0, 0); }
+// One worker is the serial engine: no thread, no barrier, no windows.
+void ParallelEngine::run() {
+  if (engines_.size() == 1) return engines_[0]->run();
+  drive(Mode::drain, nullptr, 0, 0);
+}
 
 bool ParallelEngine::run_until(const std::function<bool()>& stop_condition,
                                Nanos max_virtual) {
+  if (engines_.size() == 1) {
+    return engines_[0]->run_until(stop_condition, max_virtual);
+  }
   return drive(Mode::until, &stop_condition, max_virtual, 0);
 }
 
 void ParallelEngine::run_to(Nanos t) {
+  if (engines_.size() == 1) return engines_[0]->run_to(t);
   drive(Mode::to, nullptr, 0, t);
-  for (auto& e : engines_) e->run_to(t);  // no events <= t remain: sync now
+  for (auto& e : engines_) e->advance_to(t);  // no events <= t remain
 }
 
 }  // namespace spindle::sim

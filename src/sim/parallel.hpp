@@ -77,6 +77,11 @@ class WindowBarrier {
 /// s) of sim/sched.hpp plus the fabric's merge sort reproduce the serial
 /// tie-break exactly, making parallel runs byte-identical to serial ones
 /// (pinned by parallel_engine_test against the determinism-lock goldens).
+///
+/// With one worker it is the serial engine: run/run_until/run_to call
+/// worker 0 directly, with no thread, no barrier and no windows, so step
+/// counts and timestamps are those of a plain `Engine`. With more than one,
+/// the workers refuse direct runs (see Engine::run).
 class ParallelEngine {
  public:
   /// `lookahead` must be a lower bound on the delay between posting a
@@ -108,12 +113,13 @@ class ParallelEngine {
   /// Run until every wheel drains.
   void run();
 
-  /// Run until `stop_condition()` holds or all wheels drain. The condition
-  /// is evaluated by the barrier leader between windows (workers parked),
-  /// so it may read state across partitions; it is therefore checked at
-  /// window granularity, not between events — met-makespans match serial
-  /// runs only up to one lookahead window. `max_virtual` (> 0) aborts runs
-  /// whose next event lies beyond that virtual time.
+  /// Run until `stop_condition()` holds or all wheels drain. With more
+  /// than one worker the condition is evaluated by the barrier leader
+  /// between windows (workers parked), so it may read state across
+  /// partitions; it is therefore checked at window granularity, not between
+  /// events — met-makespans match one-worker runs only up to one lookahead
+  /// window. `max_virtual` (> 0) aborts runs whose next event lies beyond
+  /// that virtual time.
   bool run_until(const std::function<bool()>& stop_condition,
                  Nanos max_virtual = 0);
 
@@ -124,7 +130,7 @@ class ParallelEngine {
   Nanos now() const;
   /// Events dispatched across all workers.
   std::uint64_t steps() const;
-  /// Lookahead windows executed (null-message rounds).
+  /// Lookahead windows executed (null-message rounds; 0 with one worker).
   std::uint64_t windows() const noexcept { return windows_; }
 
  private:

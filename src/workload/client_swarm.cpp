@@ -178,14 +178,15 @@ SwarmResult run_client_swarm(const SwarmConfig& cfg) {
                                         root.fork()));
   }
 
-  const sim::Nanos window_start = domain.engine().now();
-  res.completed = domain.engine().run_until(
+  core::Cluster& cluster = domain.cluster();
+  const sim::Nanos window_start = cluster.now();
+  res.completed = cluster.run_until(
       [&] {
         return ctx.generators_done == cfg.relays && ctx.outstanding == 0;
       },
       cfg.duration + cfg.drain_grace);
 
-  res.cost.makespan = domain.engine().now() - window_start;
+  res.cost.makespan = cluster.now() - window_start;
   const double dur_s = sim::to_seconds(cfg.duration);
   const double span_s =
       sim::to_seconds(std::max(res.cost.makespan, cfg.duration));
@@ -194,11 +195,11 @@ SwarmResult run_client_swarm(const SwarmConfig& cfg) {
   res.p50_us = static_cast<double>(res.latency_ns.percentile(50)) / 1e3;
   res.p99_us = static_cast<double>(res.latency_ns.percentile(99)) / 1e3;
   res.p999_us = static_cast<double>(res.latency_ns.percentile(99.9)) / 1e3;
-  res.stats = domain.cluster().stats();
+  res.stats = cluster.stats();
   for (const auto& relay : res.stats.relays) res.shed += relay.requests_shed;
   // Steps are read before the domain's destructor drains the cluster: the
   // swarm's run ends with the last resolved request.
-  clock.finish(domain.engine().steps());
+  clock.finish(cluster.steps());
   return res;
 }
 

@@ -1,8 +1,10 @@
 // Parallel conservative-lookahead engine (ctest -L parallel).
 //
-// Two layers of coverage:
+// Three layers of coverage:
 //  1. sim::ParallelEngine unit tests — window mechanics (drain, run_to
-//     horizons, run_until at window granularity, the idle watchdog).
+//     horizons, run_until at window granularity, the idle watchdog), the
+//     one-worker engine running its wheel directly, and the refusal of a
+//     direct run on one worker of a partitioned engine.
 //  2. Byte-identity cross-checks: the three determinism-lock cluster
 //     configurations (tests/determinism_lock_test.cpp) run to a fixed
 //     virtual horizon at 1, 2 and 4 workers, and the FULL digest — every
@@ -11,18 +13,20 @@
 //     1-worker run is the plain serial engine (already pinned against the
 //     historical goldens by determinism_lock_test), equality here pins the
 //     parallel runs to the goldens transitively.
-//  3. A chaos slice: cpu stalls, predicate delays and degraded links
-//     (latency multipliers >= 1) under the parallel engine. Deterministic
-//     faults (jitter == 0) must match serial exactly; jittered links use a
-//     worker-count-invariant RNG that differs from serial by design, so
-//     those only compare W=2 vs W=4.
+//  3. A chaos slice: cpu stalls, predicate delays, degraded links (latency
+//     multipliers >= 1) and jittered links, each identical at 1, 2 and 4
+//     workers (link jitter is a per-link counter hash, so its draws do not
+//     depend on the worker count). The fabric calls that cannot run across
+//     partitions throw on a multi-worker cluster.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/group.hpp"
@@ -102,6 +106,41 @@ TEST(ParallelEngineUnit, RunUntilReportsDrainWithoutMeeting) {
   pe.worker(0).schedule_fn(10, [&] { ++fired; });
   const bool met = pe.run_until([] { return false; });
   EXPECT_FALSE(met);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(ParallelEngineUnit, OneWorkerRunsItsWheelDirectly) {
+  sim::ParallelEngine pe(1, 1'000);
+  int fired = 0;
+  pe.worker(0).schedule_fn(100, [&] { ++fired; });
+  pe.worker(0).schedule_fn(5'000, [&] { ++fired; });
+  // Checked between events, as on a plain Engine: the second event is
+  // never reached.
+  EXPECT_TRUE(pe.run_until([&] { return fired == 1; }));
+  EXPECT_EQ(pe.now(), 100);
+  pe.run_to(3'000);
+  EXPECT_EQ(pe.now(), 3'000);
+  pe.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(pe.steps(), 2u);
+  EXPECT_EQ(pe.windows(), 0u);
+  // Worker 0 of a one-worker engine is a plain Engine and may run itself.
+  pe.worker(0).schedule_fn(6'000, [&] { ++fired; });
+  pe.worker(0).run();
+  EXPECT_EQ(fired, 3);
+}
+
+TEST(ParallelEngineUnit, PartitionedWorkerRefusesDirectRuns) {
+  sim::ParallelEngine pe(2, 1'000);
+  int fired = 0;
+  pe.worker(0).schedule_fn(100, [&] { ++fired; });
+  EXPECT_THROW(pe.worker(0).run_until([] { return false; }),
+               std::logic_error);
+  EXPECT_THROW(pe.worker(0).run(), std::logic_error);
+  EXPECT_THROW(pe.worker(1).run_to(1'000), std::logic_error);
+  EXPECT_EQ(fired, 0);
+  // The engine itself still drives both wheels.
+  pe.run();
   EXPECT_EQ(fired, 1);
 }
 
@@ -350,28 +389,38 @@ TEST(ParallelChaos, DeterministicFaultSliceMatchesSerial) {
   expect_identical_across_workers(spec);
 }
 
-// Jittered links: the parallel engine draws per-link jitter from a
-// counter-keyed hash stream that is invariant across worker counts but
-// (by design) different from the serial engine's shared-RNG draws — so
-// jittered chaos compares parallel against parallel only.
+// Jittered links: per-link jitter is a counter-keyed hash stream drawn on
+// the link's source worker in that node's event order, so it is the same
+// at every worker count, one worker included.
 TEST(ParallelChaos, JitteredLinksAgreeAcrossWorkerCounts) {
   RunSpec spec{6, 2, 30, 29, sst::Discipline::strict_rr, nullptr};
   spec.chaos = [](core::Cluster& cluster) {
     cluster.fabric().set_link_fault(0, 5, 1.5, 400);
     cluster.fabric().set_link_fault(4, 1, 1.0, 900);
   };
-  // Horizon from an (unjittered-path) serial probe would complete at a
-  // different time than the jittered parallel runs, so probe with the
-  // faults installed and stretch the margin instead.
-  const sim::Nanos horizon = completion_horizon(spec) + sim::micros(300);
-  const std::uint64_t expect =
-      spec.subgroups * spec.nodes * spec.messages * spec.nodes;
-  std::uint64_t d2 = 0, d4 = 0;
-  const std::uint64_t h2 = digest_to_horizon(spec, 2, horizon, &d2);
-  const std::uint64_t h4 = digest_to_horizon(spec, 4, horizon, &d4);
-  EXPECT_EQ(d2, expect);
-  EXPECT_EQ(d4, expect);
-  EXPECT_EQ(h2, h4) << "jittered runs must not depend on the worker count";
+  expect_identical_across_workers(spec);
+}
+
+// The fabric calls that cannot run across partitions refuse a
+// multi-worker cluster in every build type, not only under assertions.
+TEST(ParallelChaos, CrossPartitionFabricCallsThrow) {
+  core::ClusterConfig cc;
+  cc.nodes = 4;
+  cc.sim_threads = 2;
+  core::Cluster cluster(cc);
+  ASSERT_EQ(cluster.sim_workers(), 2u);
+  net::Fabric& fabric = cluster.fabric();
+  alignas(8) std::array<std::byte, 8> word{};
+  const net::RegionId region = fabric.register_region(3, word);
+  EXPECT_THROW(fabric.isolate(1), std::logic_error);
+  EXPECT_THROW(fabric.restore(1), std::logic_error);
+  EXPECT_THROW(fabric.set_link_fault(0, 3, 0.5, 0), std::logic_error);
+  EXPECT_THROW(fabric.rdma_faa(0, region, 0, 1), std::logic_error);
+  EXPECT_THROW(fabric.rdma_cas(0, region, 0, 0, 1), std::logic_error);
+  EXPECT_THROW(cluster.crash(1), std::logic_error);
+  EXPECT_FALSE(fabric.is_isolated(1));
+  // Multipliers >= 1 keep the lookahead bound, so they are allowed.
+  EXPECT_NO_THROW(fabric.set_link_fault(0, 3, 2.0, 0));
 }
 
 }  // namespace
