@@ -120,8 +120,8 @@ void OrderingDomain::register_sequencer() {
     if (cluster_.sim_workers() > 1) {
       throw std::invalid_argument(
           "OrderingDomain \"" + cfg_.name +
-          "\": sequencer_mode = faa requires the serial engine (fabric "
-          "one-sided atomics are serial-mode only in v1)");
+          "\": sequencer_mode = faa requires one simulation worker "
+          "(sim_threads = 1; fabric one-sided atomics need it in v1)");
     }
     // No SST columns and no grant predicate: the gsn source is a one-sided
     // fetch-add counter on the sequencer's NIC. Senders still serialize

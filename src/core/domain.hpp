@@ -46,7 +46,8 @@ enum class SequencerKind {
   /// One-sided fetch-add ticket counter on the sequencer node
   /// (net::TicketSequencer): the sender FAAs the counter and uses the
   /// fetched value as its gsn — no remote CPU, no predicate scan, one NIC
-  /// round trip. Serial engine mode only (fabric atomics v1).
+  /// round trip. One simulation worker (`sim_threads = 1`) only (fabric
+  /// atomics v1).
   faa,
 };
 

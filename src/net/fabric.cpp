@@ -200,19 +200,7 @@ sim::Co<AtomicResult> Fabric::atomic_rmw(NodeId src_node, RegionId dst,
     // channel's egress lane, shaped by any injected link fault.
     const bool control = region.channel == Channel::control &&
                          timing_.separate_control_channel;
-    const LinkFault& lf = link_faults_[src_node * n_ + dst_node];
-    sim::Nanos adder = timing_.latency_adder(16);
-    if (lf.latency_mult != 1.0) {
-      adder = static_cast<sim::Nanos>(static_cast<double>(adder) *
-                                      lf.latency_mult);
-    }
-    if (lf.jitter > 0) adder += jitter_draw(src_node, dst_node, lf.jitter);
-    sim::Nanos& egress =
-        control ? control_egress_free_[src_node] : egress_free_[src_node];
-    const sim::Nanos egress_end = std::max(egress, eng.now()) +
-                                  timing_.occupancy(16);
-    egress = egress_end;
-    sim::Nanos arrival = egress_end + adder;
+    sim::Nanos arrival = link_leg(src_node, dst_node, 16, control, eng.now());
 
     // Same QP FIFO as writes (the §2.2 memory fence): the RMW executes
     // after every earlier write on this (source, region) QP has landed, and
@@ -349,15 +337,12 @@ sim::Nanos Fabric::jitter_draw(NodeId src, NodeId dst, sim::Nanos jitter) {
   return static_cast<sim::Nanos>(x % static_cast<std::uint64_t>(jitter));
 }
 
-void Fabric::transmit(NodeId src_node, RegionId dst, std::size_t dst_offset,
-                      Payload* payload, sim::Nanos ready) {
-  Region& region = regions_[dst.index];
-  const NodeId dst_node = region.node;
-  const std::size_t size = payload->bytes.size();
-  const sim::Nanos occ = timing_.occupancy(size);
-
+sim::Nanos Fabric::link_leg(NodeId src_node, NodeId dst_node,
+                            std::size_t size, bool control,
+                            sim::Nanos ready) {
   // Link-fault shaping (fault injection): scaled latency plus jitter. The
-  // per-QP FIFO clamp below keeps writes ordered regardless of the draw.
+  // per-QP FIFO clamp at the landing keeps writes ordered regardless of the
+  // draw.
   const LinkFault& lf = link_faults_[src_node * n_ + dst_node];
   sim::Nanos adder = timing_.latency_adder(size);
   if (lf.latency_mult != 1.0) {
@@ -365,79 +350,38 @@ void Fabric::transmit(NodeId src_node, RegionId dst, std::size_t dst_offset,
                                     lf.latency_mult);
   }
   if (lf.jitter > 0) adder += jitter_draw(src_node, dst_node, lf.jitter);
+  // Control QPs (SST pushes) carry tiny writes and interleave with bulk
+  // traffic packet by packet: they serialize only among themselves and are
+  // never head-of-line blocked behind an SMC data batch.
+  sim::Nanos& lane =
+      control ? control_egress_free_[src_node] : egress_free_[src_node];
+  lane = std::max(lane, ready) + timing_.occupancy(size);
+  return lane + adder;
+}
 
+void Fabric::transmit(NodeId src_node, RegionId dst, std::size_t dst_offset,
+                      Payload* payload, sim::Nanos ready) {
+  const Region& region = regions_[dst.index];
+  const NodeId dst_node = region.node;
+  const std::size_t size = payload->bytes.size();
   const bool control =
       region.channel == Channel::control && timing_.separate_control_channel;
-
-  if (n_parts_ > 1) {
-    // Source half only: egress serialization is per source node, so it is
-    // safe on this worker. The destination half (ingress, FIFO clamp,
-    // scheduling) runs at the next lookahead barrier on the destination's
-    // worker — stamped with this event's birth key so the merge can replay
-    // the serial global post order.
-    sim::Nanos base;
-    if (control) {
-      const sim::Nanos egress_end =
-          std::max(control_egress_free_[src_node], ready) + occ;
-      control_egress_free_[src_node] = egress_end;
-      base = egress_end + adder;
-    } else {
-      const sim::Nanos egress_end =
-          std::max(egress_free_[src_node], ready) + occ;
-      egress_free_[src_node] = egress_end;
-      base = egress_end + adder;
-    }
-    sim::Engine& src_engine = *engine_of_node_[src_node];
-    const std::size_t sp = part_of_node_[src_node];
-    const sim::Engine::ContextKey k = src_engine.context_key();
-    const auto [del_pu, del_s] = src_engine.draw_child_key();
-    staged_[sp * n_parts_ + part_of_node_[dst_node]].push_back(Arrival{
-        dst, static_cast<std::uint32_t>(dst_offset), payload, base, occ,
-        src_node, dst_node, control, src_engine.now(), k.b0, k.b1, k.d, k.pu,
-        k.s, del_pu, del_s});
-    return;
-  }
-
-  sim::Nanos delivery;
-  if (control) {
-    // Control QPs (SST pushes) carry tiny writes and interleave with bulk
-    // traffic packet by packet: they serialize only among themselves and
-    // are never head-of-line blocked behind an SMC data batch.
-    const sim::Nanos egress_end =
-        std::max(control_egress_free_[src_node], ready) + occ;
-    control_egress_free_[src_node] = egress_end;
-    delivery = egress_end + adder;
+  sim::Engine& src_engine = node_engine(src_node);
+  const sim::Engine::ContextKey k = src_engine.context_key();
+  const auto [del_pu, del_s] = src_engine.draw_child_key();
+  const Arrival a{dst, static_cast<std::uint32_t>(dst_offset), payload,
+                  link_leg(src_node, dst_node, size, control, ready),
+                  timing_.occupancy(size), src_node, dst_node, control,
+                  src_engine.now(), k.b0, k.b1, k.d, k.pu, k.s, del_pu, del_s};
+  // The destination half lands now when no other worker can be running:
+  // one partition, or a post from outside any event (every worker is idle
+  // between runs). Otherwise it is staged, and the barrier merge on the
+  // destination's worker replays it in global post order.
+  if (n_parts_ == 1 || k.s == 0) {
+    deliver_arrival(a);
   } else {
-    // Egress serialization at the sender's bulk lane.
-    const sim::Nanos egress_end =
-        std::max(egress_free_[src_node], ready) + occ;
-    egress_free_[src_node] = egress_end;
-    // Wire + pipelined stages, then ingress serialization at the receiver.
-    const sim::Nanos arrival = egress_end + adder;
-    const sim::Nanos ingress_start =
-        std::max(arrival - occ, ingress_free_[dst_node]);
-    delivery = ingress_start + occ;
-    ingress_free_[dst_node] = delivery;
+    staged_[part_of(src_node) * n_parts_ + part_of(dst_node)].push_back(a);
   }
-
-  // FIFO within (source, region) — one QP (the memory fence of §2.2).
-  sim::Nanos& fifo = region.fifo[src_node];
-  if (delivery <= fifo) delivery = fifo + 1;
-  fifo = delivery;
-
-  engine_.schedule_fn(
-      delivery, [this, dst, dst_offset, dst_node, payload] {
-        if (isolated_[dst_node]) {  // died while in flight
-          release_payload(0, payload);
-          return;
-        }
-        const Region& r = regions_[dst.index];
-        std::memcpy(r.mem.data() + dst_offset, payload->bytes.data(),
-                    payload->bytes.size());
-        ++stats_[dst_node].writes_delivered;
-        release_payload(0, payload);
-        doorbells_[dst_node]->signal();
-      });
 }
 
 void Fabric::merge_arrivals(std::size_t dst_part) {
@@ -449,7 +393,7 @@ void Fabric::merge_arrivals(std::size_t dst_part) {
     cell.clear();
   }
   if (scratch.empty()) return;
-  // Serial-order replay: the serial engine applied the destination half of
+  // One-worker order replay: one worker applies the destination half of
   // every transmit at post time, in global event order — which is exactly
   // the worker-count-invariant event key order (sim/sched.hpp). Sorting by
   // the posting event's full key, then by the per-post child index,
@@ -474,28 +418,34 @@ void Fabric::deliver_arrival(const Arrival& a) {
   if (a.control) {
     delivery = a.base;
   } else {
+    // Ingress serialization at the receiver's bulk lane.
     const sim::Nanos ingress_start =
         std::max(a.base - a.occ, ingress_free_[a.dst_node]);
     delivery = ingress_start + a.occ;
     ingress_free_[a.dst_node] = delivery;
   }
+  // FIFO within (source, region) — one QP (the memory fence of §2.2).
   sim::Nanos& fifo = region.fifo[a.src_node];
   if (delivery <= fifo) delivery = fifo + 1;
   fifo = delivery;
 
-  const std::size_t dp = part_of_node_[a.dst_node];
-  // Re-stamp exactly what serial schedule_fn would have: scheduled at the
-  // posting time (b0 = k_at) by the posting event (b1 = its b0), into the
-  // future (d = 0), with the identity drawn at post time.
+  // Stamp exactly what schedule_fn in the posting context would have:
+  // born at the posting time (b0 = k_at) by the posting event (b1 = its
+  // b0, 0 outside any event), into the future (d = 0), with the identity
+  // drawn at post time.
   engine_of_node_[a.dst_node]->schedule_fn_keyed(
       delivery, a.k_at, a.k_b0, 0, a.del_pu, a.del_s,
       [this, dst = a.dst, dst_offset = a.dst_offset, dst_node = a.dst_node,
-       payload = a.payload, dp] {
+       payload = a.payload] {
+        if (isolated_[dst_node]) {  // died while in flight
+          release_payload(part_of(dst_node), payload);
+          return;
+        }
         const Region& r = regions_[dst.index];
         std::memcpy(r.mem.data() + dst_offset, payload->bytes.data(),
                     payload->bytes.size());
         ++stats_[dst_node].writes_delivered;
-        release_payload(dp, payload);
+        release_payload(part_of(dst_node), payload);
         doorbells_[dst_node]->signal();
       });
 }

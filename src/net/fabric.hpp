@@ -80,13 +80,14 @@ class Fabric {
   /// sim::ParallelEngine (a new fabric has one partition: every node on
   /// the constructor's engine). `engine_of_node[i]` is the worker engine
   /// that owns node i and `part_of_node[i]` its partition. Call once,
-  /// before any region is registered. With more than one partition every
-  /// inter-node post is staged into a per-(src-partition, dst-partition)
-  /// channel instead of being scheduled directly, and the owner must call
-  /// merge_arrivals(p) for each partition at every lookahead barrier. The
-  /// calls that cannot run across partitions throw std::logic_error there:
-  /// isolate(), restore(), rdma_faa()/rdma_cas(), and set_link_fault() with
-  /// a latency multiplier below 1 (it would break the lookahead bound).
+  /// before any region is registered. With more than one partition an
+  /// inter-node post made inside an event is staged into a
+  /// per-(src-partition, dst-partition) channel instead of landing at once
+  /// (see transmit), and the owner must call merge_arrivals(p) for each
+  /// partition at every lookahead barrier. The calls that cannot run
+  /// across partitions throw std::logic_error there: isolate(), restore(),
+  /// rdma_faa()/rdma_cas(), and set_link_fault() with a latency multiplier
+  /// below 1 (it would break the lookahead bound).
   /// pause/resume_egress and set_link_fault must run on the affected
   /// source node's worker. Jitter draws are the same for every partition
   /// count (see jitter_draw).
@@ -94,10 +95,11 @@ class Fabric {
                             std::vector<std::uint32_t> part_of_node,
                             std::size_t n_partitions);
 
-  /// Apply every staged arrival destined to partition `dst_part`, in the
-  /// serial engine's global post order (sorted by the posting events'
-  /// birth keys). Must be called on `dst_part`'s worker thread, at a
-  /// barrier where all workers are parked between lookahead windows.
+  /// Land every staged arrival destined to partition `dst_part` through
+  /// the one arrival path (deliver_arrival), in the one-worker global post
+  /// order (sorted by the posting events' keys). Must be called on
+  /// `dst_part`'s worker thread, at a barrier where all workers are parked
+  /// between lookahead windows.
   void merge_arrivals(std::size_t dst_part);
 
   /// Post one one-sided write of `src` into (dst region, dst_offset) for
@@ -211,8 +213,9 @@ class Fabric {
   /// live == 0 and idle == pooled. Snapshot counts are a pure function of
   /// the run. One partition tracks the peak at every snapshot; more
   /// partitions sample it at window barriers (sample_payload_peak),
-  /// so there it is a lower bound. Read it only while the engine is not
-  /// running.
+  /// so there it is a lower bound. Each landing or in-flight drop returns
+  /// its reference on the destination's stripe. Read it only while the
+  /// engine is not running.
   struct PayloadStats {
     std::uint64_t snapshots = 0;
     std::uint64_t bytes_copied = 0;
@@ -225,9 +228,9 @@ class Fabric {
   };
   PayloadStats payload_stats() const;
 
-  /// Fold the current live snapshot totals into the peaks. Parallel mode
-  /// only, where each stripe keeps its own gauges: call it while every
-  /// worker is parked at a window barrier.
+  /// Fold the current live snapshot totals into the peaks. Needed only with
+  /// more than one partition, where each stripe keeps its own gauges: call
+  /// it while every worker is parked at a window barrier.
   void sample_payload_peak();
 
  private:
@@ -245,8 +248,8 @@ class Fabric {
   };
   /// One post's payload snapshot, shared by all its targets. `refs` counts
   /// the targets still holding it (in flight, staged or stalled); it is
-  /// atomic because in parallel mode the landings that drop it run on the
-  /// destinations' workers.
+  /// atomic because with more than one partition the landings that drop it
+  /// run on the destinations' workers.
   struct Payload {
     std::vector<std::byte> bytes;
     std::atomic<std::uint32_t> refs{0};
@@ -257,11 +260,12 @@ class Fabric {
     Payload* payload;  // pool-owned, one reference
   };
 
-  /// One staged cross-worker delivery (parallel mode). Egress serialization
-  /// and the latency adder are resolved source-side (that state is per
-  /// source node, hence single-worker); ingress serialization and the
-  /// per-QP FIFO clamp are per *destination* node and are applied at the
-  /// merge, in the sort order below.
+  /// One write between its two halves. The source half (egress
+  /// serialization and the link leg, see link_leg) is per source node and
+  /// resolved at post time; the destination half (ingress serialization,
+  /// the per-QP FIFO clamp and the landing event) is per *destination* node
+  /// and is applied by deliver_arrival — at once, or at the barrier merge
+  /// in the sort order below when the post was staged.
   struct Arrival {
     RegionId dst;
     std::uint32_t dst_offset;
@@ -273,14 +277,15 @@ class Fabric {
     NodeId src_node;
     NodeId dst_node;
     bool control;
-    /// Full ordering key of the posting event (sim/sched.hpp): sorting
-    /// merged arrivals by (k_at, k_b0, k_b1, k_d, k_pu, k_s) reproduces the
-    /// serial engine's global post order, because that key is exactly the
-    /// order the serial wheel dispatches events in. (del_pu, del_s) is the
-    /// identity the posting event drew for the delivery event at post time
-    /// (Engine::draw_child_key) — the same draw serial schedule_fn would
-    /// make; del_s doubles as the final sort key ordering multiple posts
-    /// from one event.
+    /// Posting time and full ordering key of the posting event
+    /// (sim/sched.hpp; all zeros outside any event): sorting merged
+    /// arrivals by (k_at, k_b0, k_b1, k_d, k_pu, k_s) reproduces the
+    /// one-worker global post order, because that key is exactly the order
+    /// a single wheel dispatches events in. (del_pu, del_s) is the identity
+    /// the posting context drew for the landing event at post time
+    /// (Engine::draw_child_key) — the same draw schedule_fn would make;
+    /// del_s doubles as the final sort key ordering multiple posts from one
+    /// event.
     sim::Nanos k_at, k_b0, k_b1;
     std::uint32_t k_d;
     std::uint64_t k_pu, k_s;
@@ -303,12 +308,25 @@ class Fabric {
   /// batched: see post_write), recorded in its burst state and NicStats.
   sim::Nanos charge_post(NodeId src_node, sim::Nanos now);
 
-  /// Wire model shared by post_write and resume_egress: serialize at the
-  /// sender's port from `ready`, apply link latency (plus any injected
-  /// fault), clamp to per-QP FIFO, and schedule the landing. In parallel
-  /// mode the destination half is staged instead (see Arrival).
+  /// Source half of one wire leg of `size` bytes from `src_node` to
+  /// `dst_node`: serialize on the sender's control or bulk egress lane from
+  /// `ready`, then add the link latency (scaled and jittered by any
+  /// injected link fault). Returns the arrival time at the receiver NIC.
+  /// Shared by write posts and the atomics' request leg.
+  sim::Nanos link_leg(NodeId src_node, NodeId dst_node, std::size_t size,
+                      bool control, sim::Nanos ready);
+
+  /// Wire model shared by post_write and resume_egress: the source half
+  /// (link_leg) builds an Arrival, which lands through deliver_arrival at
+  /// once with one partition or for a post made outside any event (every
+  /// worker is idle then), and is otherwise staged for the barrier merge.
   void transmit(NodeId src_node, RegionId dst, std::size_t dst_offset,
                 Payload* payload, sim::Nanos ready);
+  /// The only landing: ingress serialization (bulk lane), per-QP FIFO
+  /// clamp, and the landing event on the destination's wheel, keyed as
+  /// schedule_fn in the posting context would key it. A target isolated
+  /// while the write was in flight drops it. Either way the payload
+  /// reference goes back to the destination's stripe.
   void deliver_arrival(const Arrival& a);
 
   /// Shared body of rdma_faa / rdma_cas. For FAA arg0 is the addend; for

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -34,25 +35,24 @@ void Engine::run() {
 bool Engine::run_until(const std::function<bool()>& stop_condition,
                        Nanos max_virtual) {
   check_unpartitioned("run_until");
+  // The watchdog bounds the dispatch itself: no event beyond max_virtual
+  // runs, the same rule as the ParallelEngine's window negotiation.
+  const Nanos limit =
+      max_virtual > 0 ? max_virtual : std::numeric_limits<Nanos>::max();
   while (!stop_condition()) {
-    if (max_virtual > 0 && now_ > max_virtual) {
-      if (diagnostics_provider_) {
-        std::fprintf(stderr,
-                     "sim::Engine::run_until: watchdog tripped at %lld ns\n%s",
-                     static_cast<long long>(now_), diagnostics().c_str());
-      }
-      return false;
+    if (step_until(limit)) continue;
+    if (!diagnostics_provider_) return false;
+    if (pending_events() > 0) {
+      std::fprintf(stderr,
+                   "sim::Engine::run_until: watchdog tripped at %lld ns\n%s",
+                   static_cast<long long>(now_), diagnostics().c_str());
+    } else {
+      std::fprintf(stderr,
+                   "sim::Engine::run_until: event queue drained at %lld ns "
+                   "without meeting the stop condition\n%s",
+                   static_cast<long long>(now_), diagnostics().c_str());
     }
-    if (!step()) {
-      if (stop_condition()) return true;
-      if (diagnostics_provider_) {
-        std::fprintf(stderr,
-                     "sim::Engine::run_until: event queue drained at %lld ns "
-                     "without meeting the stop condition\n%s",
-                     static_cast<long long>(now_), diagnostics().c_str());
-      }
-      return false;
-    }
+    return false;
   }
   return true;
 }

@@ -78,11 +78,12 @@ class Engine {
     return TimerId{n, n->seq};
   }
 
-  /// Schedule a callable with an explicit ordering key. Parallel-mode only:
-  /// the fabric merge uses it to re-stamp a cross-partition arrival with
-  /// exactly the (b0, b1, d, pu, s) the posting event would have given it
-  /// in a serial run, so the destination wheel breaks same-timestamp ties
-  /// identically.
+  /// Schedule a callable with an explicit ordering key. The fabric lands
+  /// every write through it, on the destination node's wheel, with exactly
+  /// the (b0, b1, d, pu, s) that schedule_fn in the posting context would
+  /// have stamped — at post time or at a later barrier merge alike — so
+  /// the wheel breaks same-timestamp ties identically at every worker
+  /// count.
   template <typename F>
   TimerId schedule_fn_keyed(Nanos at, Nanos b0, Nanos b1, std::uint32_t d,
                             std::uint64_t pu, std::uint64_t s, F&& fn) {
@@ -98,11 +99,11 @@ class Engine {
   }
 
   /// The full ordering key of the current scheduling context: the
-  /// dispatching event's own key, or a synthetic at-now root key when
-  /// called from outside any event (setup, fault injection between runs —
-  /// s = 0 marks it, no real event carries s == 0). Parallel-mode fabric
-  /// staging sorts cross-partition arrivals by this to replay the serial
-  /// engine's post order.
+  /// dispatching event's own key, or all zeros when called from outside
+  /// any event (setup, fault injection between runs — s = 0 marks it, no
+  /// real event carries s == 0). Its b0 is the b1 that schedule_fn stamps
+  /// from this context. The fabric's barrier merge sorts staged arrivals by
+  /// it to replay the one-worker post order.
   struct ContextKey {
     Nanos b0, b1;
     std::uint32_t d;
@@ -110,14 +111,14 @@ class Engine {
   };
   ContextKey context_key() const noexcept {
     if (in_event_) return {cur_b0_, cur_b1_, cur_d_, cur_pu_, cur_s_};
-    return {now_, 0, 0, 0, 0};
+    return {0, 0, 0, 0, 0};
   }
 
   /// Draw the (pu, s) pair the next schedule_* call from the current
-  /// context would stamp, consuming the child index. Parallel-mode fabric
-  /// staging draws the delivery event's identity at post time on the source
-  /// worker — the same draw the serial engine's schedule_fn would make — so
-  /// the merged arrival reproduces it bit for bit at the barrier.
+  /// context would stamp, consuming the child index. The fabric draws the
+  /// landing event's identity at post time on the source worker — the same
+  /// draw schedule_fn would make — so a landing applied at a later barrier
+  /// reproduces it bit for bit.
   std::pair<std::uint64_t, std::uint64_t> draw_child_key() {
     if (in_event_) return {cur_uid_, ++cur_child_};
     return {0, ++*root_counter_};
@@ -179,8 +180,9 @@ class Engine {
 
   /// Run until `stop_condition()` holds (checked between events) or the
   /// queue drains. Returns true if the condition was met. `max_virtual`
-  /// (if > 0) aborts runs that exceed that virtual time — a watchdog for
-  /// protocol stalls in tests.
+  /// (if > 0) is a watchdog for protocol stalls in tests: no event beyond
+  /// that virtual time is dispatched, and the run returns false when the
+  /// next one lies beyond it.
   bool run_until(const std::function<bool()>& stop_condition,
                  Nanos max_virtual = 0);
 

@@ -85,9 +85,13 @@ void ParallelEngine::decide(Mode mode, const std::function<bool()>* cond,
       break;
   }
   // Jump straight to the earliest pending event: idle gaps (heartbeat
-  // periods, etc.) cost one window, not gap/lookahead windows.
+  // periods, etc.) cost one window, not gap/lookahead windows. A bounded
+  // run never dispatches an event beyond its bound: run_to's horizon, or
+  // run_until's watchdog (the rule of Engine::run_until).
+  const bool bounded = mode == Mode::to || max_virtual > 0;
+  const Nanos bound = mode == Mode::to ? horizon : max_virtual;
   window_end_ = min_at + lookahead_;
-  if (mode == Mode::to && window_end_ > horizon + 1) window_end_ = horizon + 1;
+  if (bounded && window_end_ > bound + 1) window_end_ = bound + 1;
   cmd_run_ = true;
   ++windows_;
 }

@@ -61,9 +61,10 @@ class WindowBarrier {
 ///   2. the barrier leader takes T = min over workers and opens the window
 ///      [T, T + L), where L is the fabric's minimum cross-node delay
 ///      (`net::TimingModel::min_remote_delay()`, ~1.7 us);
-///   3. each worker runs its wheel up to the window edge, staging every
-///      inter-node send into per-(src,dst)-partition channels instead of
-///      scheduling it directly;
+///   3. each worker runs its wheel up to the window edge; the fabric stages
+///      every inter-node send into per-(src,dst)-partition channels instead
+///      of landing it directly (a send from the main thread between runs,
+///      with every worker idle, lands at once);
 ///   4. at the barrier each worker merges the arrivals destined to it
 ///      (`merge_hook_`), sorted by the senders' birth keys so the wheel
 ///      receives them in exactly the serial engine's global post order.
@@ -119,7 +120,8 @@ class ParallelEngine {
   /// partitions; it is therefore checked at window granularity, not between
   /// events — met-makespans match one-worker runs only up to one lookahead
   /// window. `max_virtual` (> 0) aborts runs whose next event lies beyond
-  /// that virtual time.
+  /// that virtual time; no event beyond it is dispatched at any worker
+  /// count.
   bool run_until(const std::function<bool()>& stop_condition,
                  Nanos max_virtual = 0);
 

@@ -34,8 +34,8 @@ struct ShardedConfig {
   core::ProtocolOptions opts = core::ProtocolOptions::spindle();
   net::NodeId sequencer = 0;
   /// Cross-shard gsn-grant path: SST polling (default) or the one-sided
-  /// fetch-add ticket counter (serial engine only) — the two arms of
-  /// bench_atomics_seq.
+  /// fetch-add ticket counter (one simulation worker, `sim_threads = 1`,
+  /// only) — the two arms of bench_atomics_seq.
   core::SequencerKind sequencer_mode = core::SequencerKind::sst;
   std::uint64_t seed = 1;
   std::size_t sim_threads = 0;  // 0: resolve SPINDLE_SIM_THREADS

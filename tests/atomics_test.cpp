@@ -368,7 +368,7 @@ FaaRun run_faa_merged(std::size_t nodes, std::size_t shards,
   ClusterConfig cc;
   cc.nodes = nodes;
   cc.seed = seed;
-  cc.sim_threads = 1;  // one-sided atomics are serial-mode only (v1)
+  cc.sim_threads = 1;  // one-sided atomics need one simulation worker (v1)
   Cluster cluster(cc);
   std::vector<net::NodeId> members;
   for (std::size_t i = 0; i < nodes; ++i) {

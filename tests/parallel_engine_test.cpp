@@ -18,6 +18,8 @@
 //     workers (link jitter is a per-link counter hash, so its draws do not
 //     depend on the worker count). The fabric calls that cannot run across
 //     partitions throw on a multi-worker cluster.
+//  4. A write posted from the main thread between runs lands at 2 workers
+//     exactly as at 1.
 
 #include <gtest/gtest.h>
 
@@ -144,13 +146,18 @@ TEST(ParallelEngineUnit, PartitionedWorkerRefusesDirectRuns) {
   EXPECT_EQ(fired, 1);
 }
 
+// One watchdog rule at every worker count: no event beyond max_virtual is
+// dispatched, so a far-future event neither runs nor moves the clock.
 TEST(ParallelEngineUnit, WatchdogAbortsBeyondMaxVirtual) {
-  sim::ParallelEngine pe(2, 1'000);
-  int fired = 0;
-  pe.worker(1).schedule_fn(sim::seconds(100), [&] { ++fired; });
-  const bool met = pe.run_until([] { return false; }, sim::millis(1));
-  EXPECT_FALSE(met);
-  EXPECT_EQ(fired, 0);  // the far-future event never ran
+  for (const std::size_t workers : {1u, 2u}) {
+    sim::ParallelEngine pe(workers, 1'000);
+    int fired = 0;
+    pe.worker(workers - 1).schedule_fn(sim::seconds(100), [&] { ++fired; });
+    const bool met = pe.run_until([] { return false; }, sim::millis(1));
+    EXPECT_FALSE(met) << workers << " workers";
+    EXPECT_EQ(fired, 0) << workers << " workers";
+    EXPECT_EQ(pe.now(), 0) << workers << " workers";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -169,6 +176,7 @@ struct RunSpec {
   /// Fault installation hook, called right after start() (workers are not
   /// running yet, so main-thread fabric/node calls are safe here).
   std::function<void(core::Cluster&)> chaos;
+  net::TimingModel timing{};
 };
 
 /// Run `spec` with `workers` simulation threads up to the fixed virtual
@@ -185,6 +193,7 @@ std::uint64_t digest_to_horizon(const RunSpec& spec, std::size_t workers,
   cc.nodes = spec.nodes;
   cc.seed = spec.seed;
   cc.discipline = spec.discipline;
+  cc.timing = spec.timing;
   cc.sim_threads = workers;
   core::Cluster cluster(cc);
   std::vector<net::NodeId> members;
@@ -281,6 +290,7 @@ sim::Nanos completion_horizon(const RunSpec& spec) {
   cc.nodes = spec.nodes;
   cc.seed = spec.seed;
   cc.discipline = spec.discipline;
+  cc.timing = spec.timing;
   core::Cluster cluster(cc);
   std::vector<net::NodeId> members;
   for (std::size_t i = 0; i < spec.nodes; ++i) {
@@ -363,6 +373,64 @@ TEST(ParallelDeterminism, Fig09BatchedMultigroupIdenticalAt124Workers) {
 TEST(ParallelDeterminism, Fig09DrrIdenticalAt124Workers) {
   expect_identical_across_workers(
       {6, 3, 40, 11, sst::Discipline::drr, nullptr});
+}
+
+// One shared control/bulk lane: SST pushes then take ingress serialization
+// at the receiver like bulk writes, on every worker's landings.
+TEST(ParallelDeterminism, SharedControlChannelIdenticalAt124Workers) {
+  RunSpec spec{6, 2, 30, 13, sst::Discipline::strict_rr, nullptr};
+  spec.timing.separate_control_channel = false;
+  expect_identical_across_workers(spec);
+}
+
+// ---------------------------------------------------------------------------
+// Writes posted from the main thread between runs
+// ---------------------------------------------------------------------------
+
+/// A 2-node cluster run to 10 us; then, from the main thread, node 0 writes
+/// a fresh word into a region on node 1 (it lands at kLanding) and a timer
+/// on node 1 at `timer_at` reads the region. Returns whether the timer saw
+/// the new bytes. `noop_at_post` first queues an empty event on node 0's
+/// worker at the post instant.
+constexpr sim::Nanos kLanding = 12'730;
+
+bool timer_sees_write(std::size_t workers, sim::Nanos timer_at,
+                      bool noop_at_post) {
+  core::ClusterConfig cc;
+  cc.nodes = 2;
+  cc.sim_threads = workers;
+  core::Cluster cluster(cc);
+  EXPECT_EQ(cluster.sim_workers(), workers);
+  net::Fabric& fabric = cluster.fabric();
+  std::array<std::byte, 8> mem{};
+  const net::RegionId region = fabric.register_region(1, mem);
+  cluster.run_to(sim::micros(10));
+  if (noop_at_post) cluster.engine_for(0).schedule_fn(sim::micros(10), [] {});
+  std::array<std::byte, 8> fresh;
+  fresh.fill(std::byte{0x5a});
+  fabric.post_write(0, region, 0, fresh);
+  bool seen = false;
+  cluster.engine_for(1).schedule_fn(
+      timer_at, [&] { seen = mem[0] == std::byte{0x5a}; });
+  cluster.run();
+  return seen;
+}
+
+// Between runs every worker is idle, so such a post lands at once through
+// the same arrival code as at one worker, with the key a one-worker
+// schedule would stamp: a timer at the landing instant, scheduled after the
+// post, runs after the landing; a later one sees it too.
+TEST(ParallelBetweenRuns, MainThreadWriteLandsAsAtOneWorker) {
+  for (const std::size_t workers : {1u, 2u}) {
+    EXPECT_FALSE(timer_sees_write(workers, kLanding - 1, false))
+        << workers << " workers";
+    EXPECT_TRUE(timer_sees_write(workers, kLanding, false))
+        << workers << " workers";
+    EXPECT_TRUE(timer_sees_write(workers, kLanding, true))
+        << workers << " workers";
+    EXPECT_TRUE(timer_sees_write(workers, kLanding + 500, false))
+        << workers << " workers";
+  }
 }
 
 // ---------------------------------------------------------------------------
