@@ -87,7 +87,15 @@ sim::Nanos Fabric::charge_post(NodeId src_node, sim::Nanos now) {
 
 sim::Nanos Fabric::post_write(NodeId src_node, std::span<const RegionId> dsts,
                               std::size_t dst_offset,
-                              std::span<const std::byte> src) {
+                              std::span<const std::byte> src,
+                              std::span<const Extent> live) {
+  const Extent whole{0, src.size()};
+  if (live.empty()) live = {&whole, 1};
+  assert(std::all_of(live.begin(), live.end(),
+                     [&](const Extent& e) {
+                       return e.off + e.len <= src.size();
+                     }) &&
+         "live extent outside the source span");
   const sim::Nanos now = node_engine(src_node).now();
   auto& st = stats_[src_node];
   // Snapshot the payload once, on the first target that needs it (DMA reads
@@ -102,6 +110,12 @@ sim::Nanos Fabric::post_write(NodeId src_node, std::span<const RegionId> dsts,
     Region& region = regions_[dst.index];
     assert(dst_offset + src.size() <= region.mem.size() &&
            "RDMA write out of registered region bounds");
+    assert(std::all_of(live.begin(), live.end(),
+                       [&](const Extent& e) {
+                         return dst_offset + e.off + e.len <=
+                                region.mem.size();
+                       }) &&
+           "live extent out of registered region bounds");
     const NodeId dst_node = region.node;
 
     const sim::Nanos cost = charge_post(src_node, now);
@@ -117,12 +131,17 @@ sim::Nanos Fabric::post_write(NodeId src_node, std::span<const RegionId> dsts,
       // Loopback: the NIC still performs the DMA, but we deliver immediately
       // with no wire latency (Derecho writes to its own row locally and
       // never posts self-writes; this path exists for completeness).
-      std::memcpy(region.mem.data() + dst_offset, src.data(), src.size());
+      for (const Extent& e : live) {
+        std::memcpy(region.mem.data() + dst_offset + e.off,
+                    src.data() + e.off, e.len);
+      }
       ++st.writes_delivered;
       continue;
     }
 
-    if (payload == nullptr) payload = acquire_payload(part_of(src_node), src);
+    if (payload == nullptr) {
+      payload = acquire_payload(part_of(src_node), src, live);
+    }
     // No landing can run before this post returns (serial: same thread;
     // parallel: staged until the barrier), so counting up as we go is safe.
     payload->refs.fetch_add(1, std::memory_order_relaxed);
@@ -255,7 +274,8 @@ sim::Co<AtomicResult> Fabric::atomic_rmw(NodeId src_node, RegionId dst,
 }
 
 Fabric::Payload* Fabric::acquire_payload(std::size_t stripe,
-                                         std::span<const std::byte> src) {
+                                         std::span<const std::byte> src,
+                                         std::span<const Extent> live) {
   PayloadPool& pool = pools_[stripe];
   if (pool.free_list.empty()) {
     pool.store.emplace_back();
@@ -263,11 +283,21 @@ Fabric::Payload* Fabric::acquire_payload(std::size_t stripe,
   }
   Payload* p = pool.free_list.back();
   pool.free_list.pop_back();
-  p->bytes.assign(src.begin(), src.end());
+  // Pack the live extents; empty ones have nothing to land.
+  p->bytes.clear();
+  p->extents.clear();
+  for (const Extent& e : live) {
+    if (e.len == 0) continue;
+    const auto from = src.begin() + static_cast<std::ptrdiff_t>(e.off);
+    p->bytes.insert(p->bytes.end(), from,
+                    from + static_cast<std::ptrdiff_t>(e.len));
+    p->extents.push_back(e);
+  }
+  p->wire_size = src.size();
   ++pool.snapshots;
-  pool.bytes_copied += src.size();
+  pool.bytes_copied += p->bytes.size();
   ++pool.live;
-  pool.live_bytes += static_cast<std::int64_t>(src.size());
+  pool.live_bytes += static_cast<std::int64_t>(p->bytes.size());
   // One partition has one stripe, so its gauges are the fabric's; more
   // partitions sample the sum at window barriers (sample_payload_peak).
   if (n_parts_ == 1) note_payload_peak(pool.live, pool.live_bytes);
@@ -363,7 +393,7 @@ void Fabric::transmit(NodeId src_node, RegionId dst, std::size_t dst_offset,
                       Payload* payload, sim::Nanos ready) {
   const Region& region = regions_[dst.index];
   const NodeId dst_node = region.node;
-  const std::size_t size = payload->bytes.size();
+  const std::size_t size = payload->wire_size;
   const bool control =
       region.channel == Channel::control && timing_.separate_control_channel;
   sim::Engine& src_engine = node_engine(src_node);
@@ -441,9 +471,12 @@ void Fabric::deliver_arrival(const Arrival& a) {
           release_payload(part_of(dst_node), payload);
           return;
         }
-        const Region& r = regions_[dst.index];
-        std::memcpy(r.mem.data() + dst_offset, payload->bytes.data(),
-                    payload->bytes.size());
+        std::byte* to = regions_[dst.index].mem.data() + dst_offset;
+        const std::byte* from = payload->bytes.data();
+        for (const Extent& e : payload->extents) {
+          std::memcpy(to + e.off, from, e.len);
+          from += e.len;
+        }
         ++stats_[dst_node].writes_delivered;
         release_payload(part_of(dst_node), payload);
         doorbells_[dst_node]->signal();

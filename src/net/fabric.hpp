@@ -23,6 +23,13 @@ struct RegionId {
   bool valid() const noexcept { return index != UINT32_MAX; }
 };
 
+/// A byte range {off, len} within a write's source span: the bytes of the
+/// write a receiver can ever read (see post_write).
+struct Extent {
+  std::size_t off = 0;
+  std::size_t len = 0;
+};
+
 /// Traffic class of a region, modeling Derecho's use of separate RDMA
 /// connections (QPs) for the SST and for SMC ring data. RDMA guarantees
 /// ordering only *within* a QP: writes to the same region from the same
@@ -56,7 +63,8 @@ struct AtomicResult {
 ///    all at once (the simulator copies the whole payload in one event);
 ///  * **zero-copy** — payload is snapshotted at post time (DMA semantics),
 ///    once per post however many targets it fans out to, and placed
-///    directly into each destination's registered memory.
+///    directly into each destination's registered memory (only the live
+///    extents a post names; the wire is charged for the whole span).
 ///
 /// Failure injection: `isolate()` silently drops all traffic to and from a
 /// node, modeling a crash as seen by the network.
@@ -112,6 +120,14 @@ class Fabric {
   /// shares, the way a NIC DMA-reads the source once per QP without a
   /// per-target host copy. The last landing or drop returns it to the pool.
   ///
+  /// `live`, when not empty, lists the extents of `src` that receivers can
+  /// ever read (an SMC data push names each slot's message bytes). Only
+  /// those are snapshotted and landed; the rest of the destination range
+  /// keeps whatever it held. The wire still carries the whole of `src`:
+  /// transmission, ingress occupancy and NicStats::bytes_posted use
+  /// src.size(), so virtual time does not depend on `live`. Empty means
+  /// all of `src`.
+  ///
   /// Returns the summed CPU cost of posting the verbs, charged to the
   /// calling simulated thread: the caller must `co_await engine.sleep(cost)`
   /// immediately (or accumulate costs of a burst and sleep once).
@@ -120,14 +136,15 @@ class Fabric {
   /// `post_cpu_next`; so all but (at most) the first target of a fan-out
   /// are burst posts.
   sim::Nanos post_write(NodeId src_node, std::span<const RegionId> dsts,
-                        std::size_t dst_offset,
-                        std::span<const std::byte> src);
+                        std::size_t dst_offset, std::span<const std::byte> src,
+                        std::span<const Extent> live = {});
 
   /// Single-target post: the one-element fan-out.
   sim::Nanos post_write(NodeId src_node, RegionId dst, std::size_t dst_offset,
-                        std::span<const std::byte> src) {
+                        std::span<const std::byte> src,
+                        std::span<const Extent> live = {}) {
     return post_write(src_node, std::span<const RegionId>(&dst, 1),
-                      dst_offset, src);
+                      dst_offset, src, live);
   }
 
   /// One-sided fetch-and-add on an aligned 8-byte word of a registered
@@ -206,7 +223,7 @@ class Fabric {
   const NicStats& stats(NodeId node) const { return stats_[node]; }
 
   /// Host-side cost of payload staging (see post_write): snapshots taken
-  /// and the bytes copied into them, summed over every source; the
+  /// and the live bytes copied into them, summed over every source; the
   /// snapshots (and their payload bytes) held by in-flight or stalled
   /// writes, now and at the peak; and the pool's buffers, of which `idle`
   /// sit in free lists. Every buffer is live or idle, so at quiescence
@@ -246,12 +263,16 @@ class Fabric {
     double latency_mult = 1.0;
     sim::Nanos jitter = 0;
   };
-  /// One post's payload snapshot, shared by all its targets. `refs` counts
-  /// the targets still holding it (in flight, staged or stalled); it is
-  /// atomic because with more than one partition the landings that drop it
-  /// run on the destinations' workers.
+  /// One post's payload snapshot, shared by all its targets: the live
+  /// bytes packed back to back, the extents they land at (relative to the
+  /// write's destination offset) and the size the wire carries. `refs`
+  /// counts the targets still holding it (in flight, staged or stalled); it
+  /// is atomic because with more than one partition the landings that drop
+  /// it run on the destinations' workers.
   struct Payload {
     std::vector<std::byte> bytes;
+    std::vector<Extent> extents;
+    std::size_t wire_size = 0;
     std::atomic<std::uint32_t> refs{0};
   };
   struct QueuedWrite {
@@ -301,7 +322,8 @@ class Fabric {
   /// snapshot is taken from the poster's stripe and goes back to the
   /// stripe of whichever destination worker dropped the last reference, so
   /// buffers migrate between stripes without locking.
-  Payload* acquire_payload(std::size_t stripe, std::span<const std::byte> src);
+  Payload* acquire_payload(std::size_t stripe, std::span<const std::byte> src,
+                           std::span<const Extent> live);
   void release_payload(std::size_t stripe, Payload* p);
 
   /// CPU cost of posting one verb from `src_node` at `now` (doorbell-

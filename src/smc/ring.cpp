@@ -14,12 +14,13 @@ RingGroup::RingGroup(net::Fabric& fabric, net::NodeId self,
       my_sender_(my_sender_index),
       num_senders_(num_senders),
       window_(window),
-      max_msg_(max_msg_size) {
+      max_msg_(max_msg_size),
+      arena_(num_senders_ * row_size()) {
   assert(window_ > 0 && max_msg_ > 0 && num_senders_ > 0);
-  arena_.assign(num_senders_ * row_size(), std::byte{0});
-  my_region_ = fabric_.register_region(self_, std::span<std::byte>(arena_));
+  my_region_ = fabric_.register_region(self_, arena_.span());
   peer_regions_.resize(members_.size());
   fanout_.reserve(members_.size());
+  if (is_sender()) live_.reserve(window_);
 }
 
 void RingGroup::connect(std::span<RingGroup* const> instances) {
@@ -89,7 +90,17 @@ sim::Nanos RingGroup::push_ranges(std::int64_t first, std::int64_t last,
                                 ? trailer_offset(my_sender_, segs[i].slot)
                                 : data_offset(my_sender_, segs[i].slot);
     std::span<const std::byte> src{arena_.data() + off, segs[i].count * unit};
-    cost += fabric_.post_write(self_, fanout_, off, src);
+    // The wire carries whole slots (Derecho's full-slot puts), but only
+    // each slot's first trailer.len bytes can ever be read: name them so
+    // the host copies, and the receiver's pages commit, only those.
+    // Trailers are live in full.
+    live_.clear();
+    if (!trailers) {
+      for (std::uint32_t j = 0; j < segs[i].count; ++j) {
+        live_.push_back({j * unit, trailer(my_sender_, segs[i].slot + j).len});
+      }
+    }
+    cost += fabric_.post_write(self_, fanout_, off, src, live_);
   }
   return cost;
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "net/fabric.hpp"
+#include "net/registered_memory.hpp"
 
 namespace spindle::smc {
 
@@ -78,6 +79,10 @@ class RingGroup {
                                      std::uint32_t len) const;
 
   /// Total registered bytes (for the paper's §4.1.2 memory accounting).
+  /// The arena commits pages on first touch, so resident memory is lower;
+  /// the §4.1.2 cold-cache model (CpuModel::cold_multiplier) keeps using
+  /// these registered bytes, which is why lazy commit moves no virtual
+  /// time.
   std::size_t memory_bytes() const noexcept { return arena_.size(); }
 
  private:
@@ -112,11 +117,13 @@ class RingGroup {
   std::size_t num_senders_;
   std::uint32_t window_;
   std::uint32_t max_msg_;
-  std::vector<std::byte> arena_;  // num_senders rows
+  net::RegisteredMemory arena_;  // num_senders rows
   net::RegionId my_region_;
   std::vector<net::RegionId> peer_regions_;  // member rank -> region
   // Fan-out target list of one push, sized once so pushes never allocate.
   std::vector<net::RegionId> fanout_;
+  // Live extents of one data write (one per slot), sized once likewise.
+  std::vector<net::Extent> live_;
 };
 
 }  // namespace spindle::smc

@@ -22,15 +22,17 @@ FieldId Layout::add_bytes(std::string name, std::size_t size) {
 
 Sst::Sst(net::Fabric& fabric, net::NodeId self,
          std::vector<net::NodeId> members, Layout layout)
-    : fabric_(fabric), members_(std::move(members)), layout_(std::move(layout)) {
+    : fabric_(fabric),
+      members_(std::move(members)),
+      layout_(std::move(layout)),
+      table_(members_.size() * layout_.row_size()) {
   auto it = std::find(members_.begin(), members_.end(), self);
   assert(it != members_.end() && "self must be a member");
   my_rank_ = static_cast<std::size_t>(it - members_.begin());
-  table_.assign(members_.size() * layout_.row_size(), std::byte{0});
   // The SST rides its own QPs (control channel): tiny monotonic updates
   // that must not queue behind SMC bulk data.
-  my_region_ = fabric_.register_region(self, std::span<std::byte>(table_),
-                                       net::Channel::control);
+  my_region_ =
+      fabric_.register_region(self, table_.span(), net::Channel::control);
   peer_regions_.resize(members_.size());
   fanout_.reserve(members_.size());
 }

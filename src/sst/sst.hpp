@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "net/fabric.hpp"
+#include "net/registered_memory.hpp"
 
 namespace spindle::sst {
 
@@ -128,7 +129,7 @@ class Sst {
   std::vector<net::NodeId> members_;
   std::size_t my_rank_;
   Layout layout_;
-  std::vector<std::byte> table_;          // local copy: rows * row_size
+  net::RegisteredMemory table_;           // local copy: rows * row_size
   net::RegionId my_region_;               // our table, registered
   std::vector<net::RegionId> peer_regions_;  // rank -> peer's table region
   // Fan-out target list of one push, sized once so pushes never allocate.

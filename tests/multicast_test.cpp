@@ -194,7 +194,14 @@ TEST(Multicast, FanOutStagesOneSnapshotPerPostAndDrains) {
   const metrics::NetHostStats& net = r.stats.net;
   EXPECT_GT(net.payload_snapshots, 0u);
   EXPECT_EQ(r.stats.total.rdma_writes_posted, 3 * net.payload_snapshots);
-  EXPECT_EQ(r.stats.total.rdma_bytes_posted, 3 * net.payload_bytes_copied);
+  // The wire carries each of the 400 messages as one whole slot per peer;
+  // the snapshots copy SST and trailer bytes in full but only the 128
+  // message bytes of each slot. So per peer, wire bytes = copied bytes +
+  // 400 * (stride - 128).
+  const std::uint64_t messages = 4 * 100;
+  const std::uint64_t stride = (r.opts.max_msg_size + 7) & ~std::uint64_t{7};
+  EXPECT_EQ(r.stats.total.rdma_bytes_posted,
+            3 * (net.payload_bytes_copied + messages * (stride - 128)));
   EXPECT_GE(net.peak_live_payloads, 1u);
   EXPECT_GT(net.peak_live_payload_bytes, 0u);
   // Quiescence: every snapshot went back to the pool, exactly once.

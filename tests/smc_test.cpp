@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -145,6 +148,119 @@ TEST_F(RingFixture, OneByteMessagesKeepTrailersAligned) {
 TEST_F(RingFixture, EmptyRangePushIsFree) {
   EXPECT_EQ(rings[0]->push_data(5, 5, peers_of_0), 0);
   EXPECT_EQ(rings[0]->push_trailers(5, 5, peers_of_0), 0);
+}
+
+// A data push lands only each slot's message bytes, while the wire model
+// (bytes charged, landing time) still sees whole slots.
+TEST(RingLiveExtents, DataPushLandsMessageBytesOnlyAndChargesWholeSlots) {
+  constexpr std::uint32_t kSlot = 4096;
+  std::vector<net::NodeId> members{0, 1};
+  sim::Engine eng;
+  net::TimingModel timing;
+  net::Fabric fab(eng, timing, 2);
+  RingGroup a(fab, 0, members, 0, 1, 4, kSlot);
+  RingGroup b(fab, 1, members, SIZE_MAX, 1, 4, kSlot);
+  RingGroup* ptrs[] = {&a, &b};
+  RingGroup::connect(ptrs);
+
+  // Stale bytes fill the sender's slots beyond each message: they must not
+  // reach the receiver.
+  const std::uint32_t lens[] = {256, 100};
+  const char fills[] = {'p', 'q'};
+  for (std::int64_t k = 0; k < 2; ++k) {
+    auto slot = a.slot_data(k);
+    std::memset(slot.data(), 0xee, slot.size());
+    std::memset(slot.data(), fills[k], lens[k]);
+    a.mark_ready(k, lens[k], 0);
+  }
+  std::vector<std::size_t> target{1};
+  const auto before = fab.stats(0).bytes_posted;
+  a.push_data(0, 2, target);
+  EXPECT_EQ(fab.stats(0).bytes_posted - before, 2u * kSlot);
+  EXPECT_EQ(fab.payload_stats().bytes_copied, 256u + 100u);
+  eng.run();
+  const sim::Nanos landed = eng.now();
+
+  for (std::int64_t k = 0; k < 2; ++k) {
+    const auto slot = b.message(0, k, kSlot);
+    for (std::uint32_t i = 0; i < kSlot; ++i) {
+      const auto want =
+          i < lens[k] ? static_cast<std::byte>(fills[k]) : std::byte{0};
+      ASSERT_EQ(slot[i], want) << "message " << k << " byte " << i;
+    }
+  }
+
+  // Twin fabric: a plain post of the same span size lands at the same time.
+  sim::Engine eng2;
+  net::Fabric fab2(eng2, timing, 2);
+  std::vector<std::byte> src(2 * kSlot), dst(2 * kSlot);
+  const net::RegionId region = fab2.register_region(1, dst);
+  fab2.post_write(0, region, 0, src);
+  eng2.run();
+  EXPECT_EQ(eng2.now(), landed);
+  EXPECT_EQ(fab2.stats(0).bytes_posted, 2u * kSlot);
+}
+
+/// mincore() residency of every page that [base, base + len) overlaps: one
+/// entry per page, bit 0 set when resident. Empty if the range is unmapped.
+std::vector<unsigned char> residency(const std::byte* base, std::size_t len) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(base) & ~(page - 1);
+  const auto end = reinterpret_cast<std::uintptr_t>(base) + len;
+  std::vector<unsigned char> vec((end - begin + page - 1) / page);
+  if (::mincore(reinterpret_cast<void*>(begin), end - begin, vec.data()) !=
+      0) {
+    vec.clear();
+  }
+  return vec;
+}
+
+std::size_t resident_pages(const std::byte* base, std::size_t len) {
+  const std::vector<unsigned char> vec = residency(base, len);
+  EXPECT_FALSE(vec.empty()) << "range not mapped";
+  std::size_t n = 0;
+  for (unsigned char v : vec) n += v & 1u;
+  return n;
+}
+
+// Ring memory is committed on first touch: a new ring has no resident data
+// page, and k small messages commit at most k data pages at the receiver.
+TEST(RingLiveExtents, ReceiverCommitsOnlyTouchedPages) {
+  constexpr std::uint32_t kWindow = 16;
+  constexpr std::uint32_t kSlot = 10240;  // paper default: 2.5 pages
+  constexpr std::int64_t kPushes = 3;
+  std::vector<net::NodeId> members{0, 1};
+  sim::Engine eng;
+  net::TimingModel timing;
+  net::Fabric fab(eng, timing, 2);
+  RingGroup a(fab, 0, members, 0, 1, kWindow, kSlot);
+  RingGroup b(fab, 1, members, SIZE_MAX, 1, kWindow, kSlot);
+  RingGroup* ptrs[] = {&a, &b};
+  RingGroup::connect(ptrs);
+
+  // One sender row: window data slots, then window trailers.
+  const std::byte* base = b.message(0, 0, 0).data();
+  const std::size_t data_bytes = std::size_t{kWindow} * kSlot;
+  const std::size_t trailer_bytes = b.memory_bytes() - data_bytes;
+  const std::size_t trailer_pages =
+      residency(base + data_bytes, trailer_bytes).size();
+  EXPECT_EQ(resident_pages(base, data_bytes), 0u);
+
+  std::vector<std::size_t> target{1};
+  for (std::int64_t k = 0; k < kPushes; ++k) {
+    auto slot = a.slot_data(k);
+    std::memset(slot.data(), 'm', 256);
+    a.mark_ready(k, 256, 0);
+    a.push_data(k, k + 1, target);
+    a.push_trailers(k, k + 1, target);
+    eng.run();
+    ASSERT_EQ(b.trailer(0, k).count, k + 1);
+  }
+  const std::size_t data_resident = resident_pages(base, data_bytes);
+  EXPECT_GE(data_resident, 1u);
+  EXPECT_LE(data_resident, static_cast<std::size_t>(kPushes));
+  EXPECT_LE(resident_pages(base, b.memory_bytes()),
+            static_cast<std::size_t>(kPushes) + trailer_pages);
 }
 
 }  // namespace
