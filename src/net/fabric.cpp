@@ -283,8 +283,12 @@ Fabric::Payload* Fabric::acquire_payload(std::size_t stripe,
   }
   Payload* p = pool.free_list.back();
   pool.free_list.pop_back();
-  // Pack the live extents; empty ones have nothing to land.
+  // Pack the live extents; empty ones have nothing to land. Sized once,
+  // as a whole-span copy would be, so the buffer grows only to fit.
+  std::size_t live_bytes = 0;
+  for (const Extent& e : live) live_bytes += e.len;
   p->bytes.clear();
+  p->bytes.reserve(live_bytes);
   p->extents.clear();
   for (const Extent& e : live) {
     if (e.len == 0) continue;

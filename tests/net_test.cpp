@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "net/fabric.hpp"
+#include "net/registered_memory.hpp"
 
 namespace spindle::net {
 namespace {
@@ -374,6 +379,79 @@ TEST(TimingModel, OccupancyScalesWithSize) {
   EXPECT_GT(t.occupancy(1 << 20), t.occupancy(10240));
   // 1 MB at 12.5 GB/s is 80 us of line time.
   EXPECT_NEAR(static_cast<double>(t.occupancy(1 << 20)), 83886.0, 200.0);
+}
+
+std::size_t page_bytes() {
+  return static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+bool all_zero(const RegisteredMemory& m) {
+  return std::all_of(m.data(), m.data() + m.size(),
+                     [](std::byte b) { return b == std::byte{0}; });
+}
+
+// Pages of a region resident now (mincore); the region must be mapped.
+std::size_t resident_pages(const RegisteredMemory& m) {
+  std::vector<unsigned char> vec((m.size() + page_bytes() - 1) /
+                                 page_bytes());
+  EXPECT_EQ(::mincore(const_cast<std::byte*>(m.data()), m.size(),
+                      vec.data()),
+            0);
+  std::size_t n = 0;
+  for (unsigned char v : vec) n += v & 1u;
+  return n;
+}
+
+// Small and large regions alike read as zeros, start on a page and do not
+// overlap; none commits a page before it is touched.
+TEST(RegisteredMemory, RegionsArePageAlignedDisjointZeroAndUncommitted) {
+  const std::size_t sizes[] = {1, 384, 4096, 5000, 69632, 9u << 20};
+  std::vector<std::unique_ptr<RegisteredMemory>> regions;
+  for (std::size_t size : sizes) {
+    regions.push_back(std::make_unique<RegisteredMemory>(size));
+  }
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    const RegisteredMemory& m = *regions[i];
+    ASSERT_EQ(m.size(), sizes[i]);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.data()) % page_bytes(), 0u);
+    EXPECT_EQ(resident_pages(m), 0u) << "size " << m.size();
+    EXPECT_TRUE(all_zero(m)) << "size " << m.size();
+    for (std::size_t j = 0; j < i; ++j) {
+      const RegisteredMemory& o = *regions[j];
+      EXPECT_TRUE(m.data() + m.size() <= o.data() ||
+                  o.data() + o.size() <= m.data());
+    }
+  }
+  RegisteredMemory empty(0);
+  EXPECT_EQ(empty.data(), nullptr);
+  EXPECT_EQ(empty.size(), 0u);
+}
+
+// A destroyed region hands its pages back while its slab lives on, and
+// space carved again after the slab empties reads as zeros.
+TEST(RegisteredMemory, DestroyedRegionDropsItsPagesAndReusedSpaceReadsZero) {
+  constexpr std::size_t kSize = 69632;  // 17 pages, like a 16-node ring
+  auto keeper = std::make_unique<RegisteredMemory>(kSize);
+  auto dead = std::make_unique<RegisteredMemory>(kSize);
+  std::memset(dead->data(), 0xab, kSize);
+  EXPECT_EQ(resident_pages(*dead), kSize / page_bytes());
+  const std::byte* const dead_at = dead->data();
+  dead.reset();
+  // The keeper holds the slab, so the dead range is still mapped.
+  std::vector<unsigned char> vec(kSize / page_bytes());
+  ASSERT_EQ(::mincore(const_cast<std::byte*>(dead_at), kSize, vec.data()),
+            0);
+  EXPECT_TRUE(std::none_of(vec.begin(), vec.end(),
+                           [](unsigned char v) { return v & 1u; }));
+
+  // Empty the slab: the next region is carved from its front again.
+  std::memset(keeper->data(), 0xcd, kSize);
+  const std::byte* const front = keeper->data();
+  keeper.reset();
+  RegisteredMemory again(kSize);
+  EXPECT_EQ(again.data(), front);
+  EXPECT_EQ(resident_pages(again), 0u);
+  EXPECT_TRUE(all_zero(again));
 }
 
 }  // namespace
