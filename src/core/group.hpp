@@ -35,11 +35,12 @@ struct ClusterConfig {
   /// windows; more run conservative-lookahead windows on that many threads,
   /// and results are byte-identical to one worker (parallel_engine_test
   /// pins this against the determinism-lock goldens). With more than one
-  /// worker, crash(), fabric isolate()/restore(), fabric atomics and
-  /// link-fault multipliers below 1 throw std::logic_error, and the run
-  /// must be driven through Cluster::run_until/run/run_to (a worker's own
-  /// run methods throw). Only standalone clusters use this; epoch clusters
-  /// under a ManagedGroup share the group's one-worker engine.
+  /// worker, crash(), fabric isolate()/restore(), fabric atomics,
+  /// link-fault multipliers below 1 and dds::Domain::create_client_mux
+  /// throw std::logic_error, and the run must be driven through
+  /// Cluster::run_until/run/run_to (a worker's own run methods throw).
+  /// Only standalone clusters use this; epoch clusters under a
+  /// ManagedGroup share the group's one-worker engine.
   std::size_t sim_threads = 1;
 
   /// Throws std::invalid_argument with a descriptive message if the

@@ -482,17 +482,6 @@ sim::Co<> Node::persist_logger(SubgroupState& s) {
     sst_->write_local_i64(s.f_persisted, s.persisted_local);
     const sim::Nanos post = sst_->push_field(s.f_persisted, s.peer_ranks);
     if (post > 0) co_await eng.sleep(post);
-    if (s.dlog->wants_checkpoint()) {
-      // Periodic compaction under load: fold the committed records into a
-      // fresh checkpoint segment, paying one op latency plus the rewrite
-      // bandwidth. Off by default (CpuModel::ssd_checkpoint_bytes == 0).
-      const std::uint64_t live = s.dlog->compact();
-      const sim::Nanos ccost = cpu.ssd_op_latency + cpu.ssd_append_cost(live);
-      cluster_.tracer().record(id_, trace::Stage::persist, eng.now(), ccost,
-                               s.id, trace::kNoSender, -1,
-                               s.dlog->checkpoints());
-      co_await eng.sleep(ccost);
-    }
   }
 }
 

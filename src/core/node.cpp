@@ -123,12 +123,12 @@ void Node::set_persistence_handler(SubgroupId sg,
   s.persist_handler = std::move(h);
 }
 
-const std::vector<std::vector<std::byte>>& Node::persistent_log(
+std::vector<std::vector<std::byte>> Node::persistent_log(
     SubgroupId sg) const {
-  static const std::vector<std::vector<std::byte>> kEmpty;
   const SubgroupState* s = find(sg);
   assert(s != nullptr);
-  return s->dlog ? s->dlog->payloads() : kEmpty;
+  if (s->dlog == nullptr) return {};
+  return s->dlog->copy_payloads();
 }
 
 const store::VersionedLog* Node::durable_store(SubgroupId sg) const {

@@ -190,13 +190,12 @@ class Node {
   /// on stable storage at *every* member (durable-Paxos commit point).
   void set_persistence_handler(SubgroupId sg,
                                std::function<void(std::int64_t)> h);
-  /// Persistent mode: this node's flushed log (delivery order, nulls
-  /// excluded).
-  const std::vector<std::vector<std::byte>>& persistent_log(
-      SubgroupId sg) const;
+  /// Persistent mode: a copy of this node's flushed log (delivery order,
+  /// nulls excluded).
+  std::vector<std::vector<std::byte>> persistent_log(SubgroupId sg) const;
   std::int64_t persisted_frontier(SubgroupId sg) const;
   /// Persistent mode: the versioned log behind persistent_log() (null for
-  /// non-persistent subgroups). Segment/version-vector inspection for
+  /// non-persistent subgroups). Record/version-vector inspection for
   /// tests and the recovery protocol.
   const store::VersionedLog* durable_store(SubgroupId sg) const;
 

@@ -119,14 +119,6 @@ struct CpuModel {
   /// appends flushed together pays the op latency once.
   double ssd_GBps = 2.0;
   sim::Nanos ssd_op_latency = 8'000;
-  /// Torn-tail granularity of the durable versioned log: a crash mid-flush
-  /// keeps only whole sectors of the in-flight batch, and a record
-  /// straddling the boundary is torn (dropped at recovery).
-  std::uint32_t ssd_sector_bytes = 512;
-  /// Committed media bytes that trigger a checkpoint fold of the versioned
-  /// log under load; 0 (default) disables compaction so the persist path
-  /// timing is exactly the plain write-behind logger.
-  std::uint64_t ssd_checkpoint_bytes = 0;
 
   sim::Nanos ssd_append_cost(std::size_t bytes) const {
     return static_cast<sim::Nanos>(static_cast<double>(bytes) / ssd_GBps);

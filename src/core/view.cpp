@@ -129,12 +129,7 @@ void ManagedGroup::build_epoch_cluster() {
   epoch_cluster_->set_store_provider(
       [this](net::NodeId n, SubgroupId sg) -> store::VersionedLog* {
         auto& slot = stores_[n][sg];
-        if (!slot) {
-          store::StoreOptions so;
-          so.sector_bytes = cfg_.cpu.ssd_sector_bytes;
-          so.checkpoint_bytes = cfg_.cpu.ssd_checkpoint_bytes;
-          slot = std::make_unique<store::VersionedLog>(so);
-        }
+        if (!slot) slot = std::make_unique<store::VersionedLog>();
         slot->open_epoch(view_.epoch);
         return slot.get();
       });
@@ -764,7 +759,7 @@ void ManagedGroup::perform_recovery() {
   for (std::size_t g = 0; g < num_subgroups_; ++g) {
     info.pre_logs[g].resize(cfg_.nodes);
     for (net::NodeId id = 0; id < cfg_.nodes; ++id) {
-      if (stores_[id][g]) info.pre_logs[g][id] = stores_[id][g]->payloads();
+      info.pre_logs[g][id] = persistent_log(id, g);
     }
     bool any = false;
     std::size_t lcp = SIZE_MAX;
@@ -972,7 +967,7 @@ std::vector<std::vector<std::byte>> ManagedGroup::persistent_log(
     net::NodeId node, std::size_t subgroup_index) const {
   const auto& slot = stores_[node][subgroup_index];
   if (!slot) return {};
-  return slot->payloads();
+  return slot->copy_payloads();
 }
 
 std::string ManagedGroup::diagnostics_dump() const {

@@ -191,9 +191,9 @@ class ManagedGroup {
   std::vector<std::vector<std::byte>> persistent_log(
       net::NodeId node, std::size_t subgroup_index) const;
 
-  /// The versioned log behind persistent_log(): committed/staged split,
-  /// segment directory and version vector. Null for non-persistent
-  /// subgroups (or before the node's first persistent epoch).
+  /// The versioned log behind persistent_log(): records, committed/staged
+  /// split and version vector. Null for non-persistent subgroups (or
+  /// before the node's first persistent epoch).
   const store::VersionedLog* durable_store(net::NodeId node,
                                            std::size_t subgroup_index) const {
     return stores_[node][subgroup_index].get();

@@ -139,8 +139,8 @@ void Domain::start() {
         // The SSD append runs on the delivery path (paper: "data is
         // additionally appended to a log file on SSD storage").
         cluster_.node(sub).set_delivery_cost_hook(
-            ts.subgroup, [this](const core::Delivery& d) {
-              return ssd_.append_cost(d.data.size());
+            ts.subgroup, [&cpu = cluster_.cpu()](const core::Delivery& d) {
+              return cpu.ssd_op_latency + cpu.ssd_append_cost(d.data.size());
             });
       }
       ts.readers.emplace(sub, std::move(reader));
@@ -180,6 +180,14 @@ ClientMux& Domain::create_client_mux(std::uint8_t topic_id,
                                      net::NodeId relay, MuxConfig cfg) {
   if (started_) {
     throw std::logic_error("create_client_mux after Domain::start()");
+  }
+  if (cluster_.sim_workers() > 1) {
+    // The mux's actors all run on worker 0, whichever worker owns the
+    // gateway or the relay; a relay on another worker would read frames
+    // that have not finished landing.
+    throw std::logic_error(
+        "create_client_mux: a ClientMux requires one simulation worker "
+        "(sim_threads = 1)");
   }
   TopicState& ts = topic(topic_id);
   if (std::find(ts.cfg.subscribers.begin(), ts.cfg.subscribers.end(),

@@ -55,24 +55,6 @@ struct Sample {
 
 using SampleListener = std::function<void(const Sample&)>;
 
-/// Simulated SSD append log used by the logged_storage QoS: page-cache
-/// append cost on the delivery thread plus a bounded-bandwidth flush queue.
-class SsdModel {
- public:
-  explicit SsdModel(double write_GBps = 2.0, sim::Nanos op_latency = 8'000)
-      : write_GBps_(write_GBps), op_latency_(op_latency) {}
-
-  /// CPU/IO cost charged to the appending thread.
-  sim::Nanos append_cost(std::size_t bytes) const {
-    return op_latency_ + static_cast<sim::Nanos>(
-                             static_cast<double>(bytes) / write_GBps_);
-  }
-
- private:
-  double write_GBps_;
-  sim::Nanos op_latency_;
-};
-
 class Domain;
 class ClientMux;
 struct MuxConfig;
@@ -161,7 +143,6 @@ class Domain {
 
   core::Cluster& cluster() { return cluster_; }
   sim::Engine& engine() { return cluster_.engine(); }
-  const SsdModel& ssd() const { return ssd_; }
 
   /// Total samples delivered to subscribers of `topic`.
   std::uint64_t total_samples(std::uint8_t topic_id) const;
@@ -186,7 +167,6 @@ class Domain {
   const TopicState& topic(std::uint8_t id) const;
 
   core::Cluster cluster_;
-  SsdModel ssd_;
   std::map<std::uint8_t, TopicState> topics_;
   std::vector<std::unique_ptr<ClientMux>> muxes_;
   bool started_ = false;

@@ -5,26 +5,13 @@
 
 namespace spindle::store {
 
-VersionedLog::VersionedLog(StoreOptions opts) : opts_(opts) {
-  if (opts_.sector_bytes == 0) opts_.sector_bytes = 1;
-}
-
 void VersionedLog::open_epoch(std::uint32_t epoch) {
-  if (opened_ && epoch_ == epoch) return;
   epoch_ = epoch;
   opened_ = true;
-  segments_.push_back(SegmentInfo{epoch, kSegmentHeaderBytes, 0, false});
 }
 
 void VersionedLog::push_record(Record r, bool committed) {
   assert(opened_ && "open_epoch() before appending");
-  if (segments_.empty() || segments_.back().epoch != epoch_ ||
-      segments_.back().checkpoint) {
-    segments_.push_back(SegmentInfo{epoch_, kSegmentHeaderBytes, 0, false});
-  }
-  segments_.back().media_bytes += extent_of(r);
-  segments_.back().records += 1;
-  payloads_.push_back(r.payload);
   records_.push_back(std::move(r));
   if (committed) {
     assert(!flushing_ && "synchronous append during an in-flight flush");
@@ -82,10 +69,9 @@ void VersionedLog::note_crash(sim::Nanos now) {
       frac = 1.0;
     }
     frac = std::clamp(frac, 0.0, 1.0);
-    const std::uint64_t sector = opts_.sector_bytes;
     const auto reached_raw =
         static_cast<std::uint64_t>(frac * static_cast<double>(inflight_media));
-    const std::uint64_t reached = (reached_raw / sector) * sector;
+    const std::uint64_t reached = (reached_raw / kSectorBytes) * kSectorBytes;
     std::uint64_t acc = 0;
     for (std::size_t i = committed_; i < records_.size(); ++i) {
       acc += extent_of(records_[i]);
@@ -109,11 +95,9 @@ std::size_t VersionedLog::recover() {
   const std::size_t lost = records_.size() - crash_survivors_;
   torn_ += lost;
   records_.resize(crash_survivors_);
-  payloads_.resize(crash_survivors_);
   committed_ = crash_survivors_;
   crashed_ = false;
   crash_survivors_ = 0;
-  rebuild_after_truncate();
   return lost;
 }
 
@@ -123,54 +107,14 @@ void VersionedLog::truncate_records(std::size_t keep) {
     return;
   }
   records_.resize(keep);
-  payloads_.resize(keep);
   committed_ = std::min(committed_, keep);
-  rebuild_after_truncate();
 }
 
-void VersionedLog::rebuild_after_truncate() {
-  // Re-derive the segment directory from the surviving records; a segment
-  // whose records were all dropped keeps its header (epoch history is part
-  // of the version vector).
-  std::vector<SegmentInfo> next;
-  for (const SegmentInfo& s : segments_) {
-    next.push_back(SegmentInfo{s.epoch, kSegmentHeaderBytes, 0, s.checkpoint});
-  }
-  std::size_t seg = 0, used = 0;
-  std::vector<std::uint64_t> capacity;
-  for (const SegmentInfo& s : segments_) capacity.push_back(s.records);
-  for (const Record& r : records_) {
-    while (seg < next.size() && used >= capacity[seg]) {
-      ++seg;
-      used = 0;
-    }
-    if (seg >= next.size()) break;
-    next[seg].media_bytes += extent_of(r);
-    next[seg].records += 1;
-    ++used;
-  }
-  segments_ = std::move(next);
-}
-
-bool VersionedLog::wants_checkpoint() const {
-  if (opts_.checkpoint_bytes == 0 || flushing_) return false;
-  if (committed_ != records_.size()) return false;
-  if (segments_.size() <= 1) return false;  // already a single fold
-  return committed_media_bytes() >= opts_.checkpoint_bytes;
-}
-
-std::uint64_t VersionedLog::compact() {
-  assert(!flushing_ && committed_ == records_.size());
-  std::uint64_t live = 0;
-  SegmentInfo cp{epoch_, kSegmentHeaderBytes, 0, true};
-  for (const Record& r : records_) {
-    live += r.payload.size();
-    cp.media_bytes += extent_of(r);
-    cp.records += 1;
-  }
-  segments_.assign(1, cp);
-  ++checkpoints_;
-  return live;
+std::vector<std::vector<std::byte>> VersionedLog::copy_payloads() const {
+  std::vector<std::vector<std::byte>> out;
+  out.reserve(records_.size());
+  for (const Record& r : records_) out.push_back(r.payload);
+  return out;
 }
 
 std::vector<std::pair<std::uint32_t, std::uint64_t>>
@@ -184,14 +128,6 @@ VersionedLog::version_vector() const {
     vv.back().second += 1;
   }
   return vv;
-}
-
-std::uint64_t VersionedLog::committed_media_bytes() const {
-  std::uint64_t total = kSegmentHeaderBytes * segments_.size();
-  for (std::size_t i = 0; i < committed_; ++i) {
-    total += extent_of(records_[i]);
-  }
-  return total;
 }
 
 }  // namespace spindle::store

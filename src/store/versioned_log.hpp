@@ -6,10 +6,9 @@
 // both epoch clusters and process restarts, which is what makes
 // total-failure recovery possible.
 //
-// The log models a segmented append stream. Each view epoch opens a new
-// segment with an epoch-stamped header; records carry (epoch, seq, sender,
+// The log models an append stream. Records carry (epoch, seq, sender,
 // index, payload) and occupy `kRecordHeaderBytes + payload` media bytes.
-// Appends are *staged* first — immediately visible in payloads(), exactly
+// Appends are *staged* first — immediately visible in records(), exactly
 // like the old write-behind `s.log` — and only become durable when the
 // flush that covers them completes. A crash mid-flush loses the tail of
 // the in-flight batch beyond the last whole sector the device reached
@@ -29,20 +28,11 @@
 
 namespace spindle::store {
 
-/// Media bytes charged for an epoch-stamped segment header. Headers are
-/// journaled synchronously (metadata), so they never tear.
-inline constexpr std::uint64_t kSegmentHeaderBytes = 64;
 /// Media bytes charged per record in addition to its payload (epoch, seq,
 /// sender, index, length, checksum).
 inline constexpr std::uint64_t kRecordHeaderBytes = 32;
-
-struct StoreOptions {
-  /// Torn-tail granularity: a crash mid-flush keeps only whole sectors.
-  std::uint32_t sector_bytes = 512;
-  /// Committed media bytes that trigger a checkpoint fold; 0 disables
-  /// compaction entirely (the default write path is then untouched).
-  std::uint64_t checkpoint_bytes = 0;
-};
+/// Torn-tail granularity: a crash mid-flush keeps only whole sectors.
+inline constexpr std::uint64_t kSectorBytes = 512;
 
 struct Record {
   std::uint32_t epoch = 0;  // view epoch the record was appended under
@@ -52,23 +42,14 @@ struct Record {
   std::vector<std::byte> payload;
 };
 
-struct SegmentInfo {
-  std::uint32_t epoch = 0;
-  std::uint64_t media_bytes = kSegmentHeaderBytes;
-  std::uint64_t records = 0;
-  bool checkpoint = false;
-};
-
 class VersionedLog {
  public:
-  explicit VersionedLog(StoreOptions opts = {});
-
-  /// Roll a new segment stamped with `epoch`. Idempotent per epoch: the
-  /// provider may bind the same store to several nodes' state in one view.
+  /// Stamp subsequent appends with `epoch`. Idempotent: the provider may
+  /// bind the same store to several nodes' state in one view.
   void open_epoch(std::uint32_t epoch);
 
-  /// Stage a record. It is immediately visible in payloads()/records()
-  /// (the write-behind optimistic view) but not durable until the flush
+  /// Stage a record. It is immediately visible in records() (the
+  /// write-behind optimistic view) but not durable until the flush
   /// covering it commits.
   void append(std::int64_t seq, std::uint32_t sender, std::int64_t index,
               std::vector<std::byte> payload);
@@ -103,54 +84,31 @@ class VersionedLog {
   /// `keep` records, drop the rest (committed or not).
   void truncate_records(std::size_t keep);
 
-  /// True when compaction is enabled, nothing is in flight, and the
-  /// committed media footprint exceeds the checkpoint threshold.
-  bool wants_checkpoint() const;
-
-  /// Fold all committed records into a single checkpoint segment stamped
-  /// with the current epoch. Content-preserving; only the media accounting
-  /// shrinks. Returns the live payload bytes rewritten so the caller can
-  /// charge the SSD cost.
-  std::uint64_t compact();
-
   std::size_t size() const { return records_.size(); }
   std::size_t committed_size() const { return committed_; }
   bool flush_in_flight() const { return flushing_; }
   bool crash_noted() const { return crashed_; }
   std::uint64_t torn_records() const { return torn_; }
-  std::uint64_t checkpoints() const { return checkpoints_; }
-  std::uint32_t current_epoch() const { return epoch_; }
 
   const std::vector<Record>& records() const { return records_; }
-  /// Payload-only view, mirroring records(). Stable reference for
-  /// Node::persistent_log() compatibility.
-  const std::vector<std::vector<std::byte>>& payloads() const {
-    return payloads_;
-  }
-  const std::vector<SegmentInfo>& segments() const { return segments_; }
+  /// A by-value copy of every record's payload, in log order.
+  std::vector<std::vector<std::byte>> copy_payloads() const;
 
-  /// Durable version vector: (epoch, committed record count) per segment
-  /// epoch, ascending. This is what a restarted node announces through
-  /// the recovery view.
+  /// Durable version vector: (epoch, committed record count) per epoch,
+  /// ascending. This is what a restarted node announces through the
+  /// recovery view.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> version_vector() const;
-
-  /// Total committed media bytes (records + segment headers).
-  std::uint64_t committed_media_bytes() const;
 
  private:
   static std::uint64_t extent_of(const Record& r) {
     return kRecordHeaderBytes + r.payload.size();
   }
   void push_record(Record r, bool committed);
-  void rebuild_after_truncate();
 
-  StoreOptions opts_;
   std::uint32_t epoch_ = 0;
   bool opened_ = false;
   std::vector<Record> records_;  // committed prefix + staged suffix
-  std::vector<std::vector<std::byte>> payloads_;  // mirror of records_
-  std::vector<SegmentInfo> segments_;
-  std::size_t committed_ = 0;  // records durable on media
+  std::size_t committed_ = 0;    // records durable on media
 
   bool flushing_ = false;
   sim::Nanos flush_t0_ = 0;
@@ -159,7 +117,6 @@ class VersionedLog {
   bool crashed_ = false;
   std::size_t crash_survivors_ = 0;  // records recoverable after the crash
   std::uint64_t torn_ = 0;           // records lost to tearing, lifetime
-  std::uint64_t checkpoints_ = 0;
 };
 
 }  // namespace spindle::store

@@ -8,6 +8,8 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dds/client_mux.hpp"
@@ -622,6 +624,31 @@ TEST(MuxValidation, RejectsBadTopologies) {
   domain.create_client_mux(1, 4, 0);  // valid
   domain.start();
   EXPECT_THROW(domain.create_client_mux(1, 4, 0), std::logic_error);
+}
+
+TEST(MuxValidation, RejectsMultiWorkerClusters) {
+  // The mux's actors all run on worker 0; with the relay owned by another
+  // worker it would read half-landed frames, so creation refuses up front.
+  core::ClusterConfig cc;
+  cc.nodes = 5;
+  cc.sim_threads = 2;
+  Domain domain(cc);
+  ASSERT_GT(domain.cluster().sim_workers(), 1u);
+  TopicConfig tc;
+  tc.name = "v";
+  tc.topic_id = 1;
+  tc.max_sample_size = 256;
+  tc.publishers = {0, 1, 2, 3};
+  tc.subscribers = {0, 1, 2, 3};
+  domain.create_topic(tc);
+  try {
+    domain.create_client_mux(1, 4, 3);
+    ADD_FAILURE() << "create_client_mux accepted a two-worker cluster";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("sim_threads = 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -57,17 +57,17 @@ TEST(Persistence, LogsAreIdenticalAndComplete) {
   ASSERT_TRUE(f.cluster->engine().run_until(
       [&] {
         for (net::NodeId n = 0; n < 3; ++n) {
-          if (f.cluster->node(n).persistent_log(f.sg).size() < 120) {
+          if (f.cluster->node(n).durable_store(f.sg)->size() < 120) {
             return false;
           }
         }
         return true;
       },
       sim::seconds(10)));
-  const auto& ref = f.cluster->node(0).persistent_log(f.sg);
+  const auto ref = f.cluster->node(0).persistent_log(f.sg);
   ASSERT_EQ(ref.size(), 120u);
   for (net::NodeId n = 1; n < 3; ++n) {
-    const auto& log = f.cluster->node(n).persistent_log(f.sg);
+    const auto log = f.cluster->node(n).persistent_log(f.sg);
     ASSERT_EQ(log.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       EXPECT_EQ(log[i], ref[i]) << "log divergence at " << i;
@@ -125,7 +125,7 @@ TEST(Persistence, LocalFrontierCoversTrailingNulls) {
   // Give the loggers time to flush, then check the frontier passed the
   // null-laden sequence range while the log holds only app messages.
   cluster.engine().run_to(cluster.engine().now() + sim::millis(1));
-  const auto& log = cluster.node(0).persistent_log(sg);
+  const auto log = cluster.node(0).persistent_log(sg);
   EXPECT_EQ(log.size(), 60u);
   EXPECT_GE(cluster.node(0).persisted_frontier(sg), 88);  // ~90 seqs total
   cluster.shutdown();
@@ -136,8 +136,8 @@ TEST(Persistence, ProviderOwnedStoresAnnounceConsistentVersionVectors) {
   // ManagedGroup arrangement that keeps logs alive across restarts) and
   // check the durable bookkeeping the recovery protocol reads: once the
   // write-behind loggers drain, every record is committed, the version
-  // vector matches the log, and the payload mirror equals what
-  // persistent_log() serves.
+  // vector matches the log, and persistent_log() serves the
+  // provider-owned store.
   ClusterConfig cc;
   cc.nodes = 3;
   Cluster cluster(cc);
@@ -178,10 +178,9 @@ TEST(Persistence, ProviderOwnedStoresAnnounceConsistentVersionVectors) {
     const auto vv = logs[n]->version_vector();
     ASSERT_EQ(vv.size(), 1u);
     EXPECT_EQ(vv[0].second, 120u);
-    EXPECT_EQ(&cluster.node(n).persistent_log(sg), &logs[n]->payloads())
-        << "persistent_log must serve the provider-owned store's mirror";
-    EXPECT_GT(logs[n]->committed_media_bytes(),
-              120u * store::kRecordHeaderBytes);
+    EXPECT_EQ(cluster.node(n).durable_store(sg), logs[n].get())
+        << "persistent_log must serve the provider-owned store";
+    EXPECT_EQ(cluster.node(n).persistent_log(sg), logs[n]->copy_payloads());
   }
   cluster.shutdown();
 }

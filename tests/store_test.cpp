@@ -3,8 +3,8 @@
 // stack. The invariants pinned here are the ones total-failure recovery
 // leans on: staged records are never acknowledged early, a crash mid-flush
 // keeps only whole sectors (a record straddling the last sector is torn),
-// cold starts are no-ops, and compaction preserves content while folding
-// the segment directory.
+// cold starts are no-ops, and recovery and the ragged trim keep the
+// surviving records byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,12 @@ std::vector<std::byte> payload_of(std::size_t size, std::byte fill) {
   return std::vector<std::byte>(size, fill);
 }
 
+// The payload stage() gives its `i`-th record.
+std::vector<std::byte> staged_payload(std::size_t i, std::uint64_t extent) {
+  return payload_of(extent - kRecordHeaderBytes,
+                    std::byte{static_cast<unsigned char>(i)});
+}
+
 // Stage `n` records whose on-media extent is exactly `extent` bytes each.
 void stage(VersionedLog& log, std::size_t n, std::uint64_t extent,
            std::int64_t first_seq = 0) {
@@ -27,8 +33,16 @@ void stage(VersionedLog& log, std::size_t n, std::uint64_t extent,
   for (std::size_t i = 0; i < n; ++i) {
     log.append(first_seq + static_cast<std::int64_t>(i), /*sender=*/0,
                /*index=*/static_cast<std::int64_t>(i),
-               payload_of(extent - kRecordHeaderBytes,
-                          std::byte{static_cast<unsigned char>(i)}));
+               staged_payload(i, extent));
+  }
+}
+
+// Byte-compare every surviving record's payload with what was appended.
+void expect_payloads(const VersionedLog& log,
+                     const std::vector<std::vector<std::byte>>& want) {
+  ASSERT_EQ(log.records().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(log.records()[i].payload, want[i]) << "record " << i;
   }
 }
 
@@ -38,7 +52,8 @@ TEST(VersionedLog, StagedRecordsAreVisibleButNotDurable) {
   stage(log, 3, 256);
   // Write-behind optimistic view: immediately readable...
   EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.payloads().size(), 3u);
+  ASSERT_EQ(log.records().size(), 3u);
+  EXPECT_EQ(log.records()[2].payload, staged_payload(2, 256));
   // ...but nothing is durable until a flush commits.
   EXPECT_EQ(log.committed_size(), 0u);
   log.flush_begin(/*now=*/0, /*eta=*/1000);
@@ -59,13 +74,15 @@ TEST(VersionedLog, CrashBeforeFlushLosesEverythingStaged) {
   EXPECT_EQ(log.size(), 1u);
   EXPECT_EQ(log.committed_size(), 1u);
   EXPECT_EQ(log.torn_records(), 4u);
+  expect_payloads(log, {payload_of(32, std::byte{1})});
 }
 
 TEST(VersionedLog, CrashMidFlushKeepsWholeSectorsOnly) {
   // Four 256-byte records in one batch, sector 512, crash 62.5% through
   // the flush: the device reached 640 raw bytes but persists only the
   // whole sector below it (512), i.e. exactly two records.
-  VersionedLog log(StoreOptions{.sector_bytes = 512});
+  static_assert(kSectorBytes == 512);
+  VersionedLog log;
   log.open_epoch(0);
   stage(log, 4, 256);
   log.flush_begin(/*now=*/0, /*eta=*/1000);
@@ -74,13 +91,14 @@ TEST(VersionedLog, CrashMidFlushKeepsWholeSectorsOnly) {
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.committed_size(), 2u);
   EXPECT_EQ(log.torn_records(), 2u);
+  expect_payloads(log, {staged_payload(0, 256), staged_payload(1, 256)});
 }
 
 TEST(VersionedLog, RecordStraddlingTheLastSectorIsTorn) {
   // Second record (384-byte extent) straddles the 512-byte sector the
   // device reached: it is torn and dropped even though most of its bytes
   // hit media. Only the first record survives.
-  VersionedLog log(StoreOptions{.sector_bytes = 512});
+  VersionedLog log;
   log.open_epoch(0);
   log.append(0, 0, 0, payload_of(256 - kRecordHeaderBytes, std::byte{0}));
   log.append(1, 0, 1, payload_of(384 - kRecordHeaderBytes, std::byte{1}));
@@ -90,13 +108,14 @@ TEST(VersionedLog, RecordStraddlingTheLastSectorIsTorn) {
   EXPECT_EQ(log.size(), 1u);
   ASSERT_EQ(log.records().size(), 1u);
   EXPECT_EQ(log.records()[0].seq, 0);
+  expect_payloads(log, {payload_of(256 - kRecordHeaderBytes, std::byte{0})});
 }
 
 TEST(VersionedLog, OnlyTheFirstCrashOfALifeCounts) {
   // note_crash is idempotent: a second crash note (the injector firing a
   // redundant total_failure event on an already-dead node) must not move
   // the survivor boundary.
-  VersionedLog log(StoreOptions{.sector_bytes = 512});
+  VersionedLog log;
   log.open_epoch(0);
   stage(log, 4, 256);
   log.flush_begin(/*now=*/0, /*eta=*/1000);
@@ -105,6 +124,7 @@ TEST(VersionedLog, OnlyTheFirstCrashOfALifeCounts) {
   EXPECT_TRUE(log.crash_noted());
   EXPECT_EQ(log.recover(), 2u);
   EXPECT_EQ(log.size(), 2u);
+  expect_payloads(log, {staged_payload(0, 256), staged_payload(1, 256)});
 }
 
 TEST(VersionedLog, ColdStartRecoveryIsANoOp) {
@@ -136,63 +156,24 @@ TEST(VersionedLog, VersionVectorCountsCommittedRecordsPerEpoch) {
 TEST(VersionedLog, RaggedTrimKeepsThePrefix) {
   VersionedLog log;
   log.open_epoch(0);
+  std::vector<std::vector<std::byte>> appended;
   for (std::size_t i = 0; i < 5; ++i) {
+    appended.push_back(
+        payload_of(32 + i, std::byte{static_cast<unsigned char>(i)}));
     log.append_committed(static_cast<std::int64_t>(i), 0,
-                         static_cast<std::int64_t>(i),
-                         payload_of(32, std::byte{static_cast<unsigned char>(i)}));
+                         static_cast<std::int64_t>(i), appended.back());
   }
   log.truncate_records(3);
   EXPECT_EQ(log.size(), 3u);
   EXPECT_EQ(log.committed_size(), 3u);
   ASSERT_EQ(log.records().size(), 3u);
   EXPECT_EQ(log.records().back().seq, 2);
+  appended.resize(3);
+  expect_payloads(log, appended);
   // Trimming past the end is a no-op.
   log.truncate_records(10);
   EXPECT_EQ(log.size(), 3u);
-}
-
-TEST(VersionedLog, CompactionFoldsSegmentsAndPreservesContent) {
-  VersionedLog log(StoreOptions{.sector_bytes = 512,
-                                .checkpoint_bytes = 256});
-  log.open_epoch(0);
-  log.append_committed(0, 0, 0, payload_of(64, std::byte{0}));
-  log.open_epoch(1);
-  log.append_committed(1, 1, 0, payload_of(64, std::byte{1}));
-  ASSERT_EQ(log.segments().size(), 2u);
-  ASSERT_TRUE(log.wants_checkpoint());
-  const auto before_records = log.records();
-  const std::uint64_t media_before = log.committed_media_bytes();
-  const std::uint64_t live = log.compact();
-  EXPECT_EQ(live, 128u);  // payload bytes rewritten
-  EXPECT_EQ(log.checkpoints(), 1u);
-  ASSERT_EQ(log.segments().size(), 1u);
-  EXPECT_TRUE(log.segments()[0].checkpoint);
-  // Content-preserving: same records, smaller media footprint (one header
-  // instead of two).
-  ASSERT_EQ(log.records().size(), before_records.size());
-  for (std::size_t i = 0; i < before_records.size(); ++i) {
-    EXPECT_EQ(log.records()[i].seq, before_records[i].seq);
-    EXPECT_EQ(log.records()[i].payload, before_records[i].payload);
-  }
-  EXPECT_LT(log.committed_media_bytes(), media_before);
-  // The version vector still reflects the original epoch history.
-  EXPECT_EQ(log.version_vector().size(), 2u);
-}
-
-TEST(VersionedLog, CheckpointNotWantedWhileFlushInFlight) {
-  VersionedLog log(StoreOptions{.sector_bytes = 512,
-                                .checkpoint_bytes = 64});
-  log.open_epoch(0);
-  log.append_committed(0, 0, 0, payload_of(64, std::byte{0}));
-  log.open_epoch(1);
-  log.append_committed(1, 0, 1, payload_of(64, std::byte{1}));
-  ASSERT_TRUE(log.wants_checkpoint());
-  stage(log, 1, 64, /*first_seq=*/2);
-  EXPECT_FALSE(log.wants_checkpoint());  // staged suffix not yet durable
-  log.flush_begin(/*now=*/0, /*eta=*/100);
-  EXPECT_FALSE(log.wants_checkpoint());  // flush in flight
-  log.flush_commit();
-  EXPECT_TRUE(log.wants_checkpoint());
+  expect_payloads(log, appended);
 }
 
 }  // namespace
